@@ -12,8 +12,7 @@
 //                        every cluster changed between publishes.
 //   scenario_heavy_tail  Zipf cluster sizes; the interesting columns are
 //                        sketch_prunes vs sketch_exact (the head cluster's
-//                        support saturates absorb scoring) and the cache
-//                        columns (budgeting across many tiny columns).
+//                        support saturates absorb scoring).
 //
 // Each scenario sweeps executors {1, 8} (1 = the serial no-pool path, the
 // same baseline convention as the fig7/stream sweeps), streams the identical
@@ -56,11 +55,6 @@ struct ScenarioRun {
   int64_t sketch_exact = 0;
   int64_t rows_reused = 0;
   int64_t clusters_reused = 0;
-  int64_t cache_hits = 0;
-  double cache_hit_rate = 0.0;
-  int64_t cache_evictions = 0;
-  int64_t cache_budget_bytes = 0;
-  int64_t cache_invalidated = 0;
   int64_t steals = 0;
   int clusters = 0;
 };
@@ -131,13 +125,6 @@ ScenarioRun StreamScenario(const ScenarioSpec& spec, int executors) {
   run.clusters_dissolved = stats.clusters_dissolved;
   run.sketch_prunes = stats.sketch_prunes;
   run.sketch_exact = stats.sketch_exact;
-  run.cache_hits = online.oracle().cache_hits();
-  const int64_t touched = run.cache_hits + online.oracle().entries_computed();
-  run.cache_hit_rate =
-      touched > 0 ? static_cast<double>(run.cache_hits) / touched : 0.0;
-  run.cache_evictions = online.oracle().cache_evictions();
-  run.cache_budget_bytes = stats.cache_budget_bytes;
-  run.cache_invalidated = stats.cache_entries_invalidated;
   run.steals = pool != nullptr ? pool->steal_count() : 0;
   run.clusters = static_cast<int>(online.clusters().size());
   return run;
@@ -154,9 +141,7 @@ void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
           "\"clusters_born\":%lld,\"clusters_dissolved\":%lld,"
           "\"sketch_prunes\":%lld,\"sketch_exact\":%lld,"
           "\"rows_reused\":%lld,\"clusters_reused\":%lld,"
-          "\"cache_hits\":%lld,\"cache_hit_rate\":%.4f,"
-          "\"cache_evictions\":%lld,\"cache_budget_bytes\":%lld,"
-          "\"cache_invalidated\":%lld,\"steals\":%lld,\"clusters\":%d}",
+          "\"steals\":%lld,\"clusters\":%d}",
           first ? "" : ",", r.executors, r.wall_seconds, r.speedup,
           r.items_per_second, r.p50_batch_seconds, r.p95_batch_seconds,
           r.p95_batch_seconds, r.publish_p95_seconds,
@@ -172,10 +157,6 @@ void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
           static_cast<long long>(r.sketch_exact),
           static_cast<long long>(r.rows_reused),
           static_cast<long long>(r.clusters_reused),
-          static_cast<long long>(r.cache_hits), r.cache_hit_rate,
-          static_cast<long long>(r.cache_evictions),
-          static_cast<long long>(r.cache_budget_bytes),
-          static_cast<long long>(r.cache_invalidated),
           static_cast<long long>(r.steals), r.clusters);
 }
 
@@ -293,10 +274,6 @@ void RunHeavyTail(BenchContext& ctx) {
               HeavyTailClusterProbability(cfg, 0), spec.num_batches,
               ctx.scale());
   const std::vector<ScenarioRun> runs = SweepExecutors(spec);
-  std::printf("Expected shape: the head cluster's support dominates absorb "
-              "scoring, so sketch_prunes dwarfs sketch_exact; the cache "
-              "columns show the budget spread across many cold tail "
-              "columns.\n");
   std::string json;
   AppendF(json,
           "{\"bench\":\"scenario_heavy_tail\",\"num_clusters\":%d,"
@@ -327,9 +304,6 @@ void RunEmbedding(BenchContext& ctx) {
               cfg.num_clusters, cfg.manifold_dim, cfg.dim, cfg.anisotropy,
               spec.num_batches, ctx.scale());
   const std::vector<ScenarioRun> runs = SweepExecutors(spec);
-  std::printf("Expected shape: LSH bucket occupancy skews along the wide "
-              "manifold axes, so sketch and cache columns behave unlike the "
-              "isotropic synthetic regimes at the same arrival rate.\n");
   std::string json;
   AppendF(json,
           "{\"bench\":\"scenario_embedding\",\"dim\":%d,"

@@ -45,7 +45,6 @@ struct StreamRow {
   int64_t absorbed = 0;
   int64_t evicted = 0;
   int64_t redetections = 0;
-  double cache_hit_rate = 0.0;
   int64_t steals = 0;
   int clusters = 0;
   // Publish phase (measured outside the ingest wall): steady-state
@@ -54,7 +53,7 @@ struct StreamRow {
   int64_t rows_reused = 0;
   int64_t clusters_reused = 0;
   // The stream's per-instance metrics registry as comma-joined JSON fields
-  // (absorbed/pooled/evicted/..., cache and pool gauges) — captured while
+  // (absorbed/pooled/evicted/..., pool gauges) — captured while
   // the stream is alive, embedded verbatim in the row record so every
   // counter key the trajectory carries comes from the registry exporter.
   std::string registry_fields;
@@ -128,10 +127,6 @@ StreamRow RunStream(const LabeledData& data,
   row.absorbed = stats.absorbed;
   row.evicted = stats.evicted;
   row.redetections = stats.redetections;
-  const int64_t cache_hits = online.oracle().cache_hits();
-  const int64_t touched = cache_hits + online.oracle().entries_computed();
-  row.cache_hit_rate =
-      touched > 0 ? static_cast<double>(cache_hits) / touched : 0.0;
   row.steals = pool != nullptr ? pool->steal_count() : 0;
   row.clusters = static_cast<int>(online.clusters().size());
 
@@ -190,7 +185,7 @@ void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
           "\"trace_overhead_ratio\":%.4f,\"rows\":[",
           n, trace_base_seconds, trace_wall_seconds, trace_overhead_ratio);
   // The wall/latency/derived keys are emitted by hand; every counter and
-  // gauge key (absorbed, evicted, sketch_prunes, cache_*, pool_*, ...)
+  // gauge key (absorbed, evicted, sketch_prunes, pool_*, ...)
   // comes from the embedded registry export — the manual list must never
   // overlap the registry's names (--schema-check rejects duplicate keys).
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -202,12 +197,12 @@ void EmitStreamJson(BenchContext& ctx, const std::vector<StreamRow>& rows,
         "\"p50_batch_seconds\":%.6f,\"p95_batch_seconds\":%.6f,"
         "\"ingest_p95_seconds\":%.6f,\"publish_p95_seconds\":%.6f,"
         "\"rows_reused\":%lld,\"clusters_reused\":%lld,"
-        "\"cache_hit_rate\":%.4f,\"steals\":%lld,\"clusters\":%d,%s}",
+        "\"steals\":%lld,\"clusters\":%d,%s}",
         i == 0 ? "" : ",", r.batch, r.window, r.executors, r.wall_seconds,
         r.speedup, r.items_per_second, r.p50_batch_seconds,
         r.p95_batch_seconds, r.p95_batch_seconds, r.publish_p95_seconds,
         static_cast<long long>(r.rows_reused),
-        static_cast<long long>(r.clusters_reused), r.cache_hit_rate,
+        static_cast<long long>(r.clusters_reused),
         static_cast<long long>(r.steals), r.clusters,
         r.registry_fields.c_str());
   }
@@ -300,8 +295,8 @@ void Run(BenchContext& ctx) {
   std::printf("\nExpected shape: the streamed state is bit-identical down "
               "the executor column (only wall time moves); larger batches "
               "amortize the parallel hash/score phases, and the window "
-              "bounds evictions — and with them the index and cache "
-              "footprint — independent of stream length. sketch_prunes "
+              "bounds evictions — and with them the index footprint — "
+              "independent of stream length. sketch_prunes "
               "counts absorb scorings the support-sketch bound skipped "
               "(exactly, never approximately), and the publish columns "
               "time the incremental snapshot export over a steady-state "

@@ -8,11 +8,8 @@
 //   a* = n^eta/20   : time O(n^{1+eta}), space O(n^{2 eta})
 //   a* <= P/20      : time O(n),       space O(1)
 //
-// With the column cache default-on, two time-side counts exist: *requested*
-// entries (computed + cache hits — the paper-faithful Table 1 quantity the
-// theory slope is checked against) and *computed* entries (true kernel evals
-// after cache reuse — the honest work actually done). Both slopes print, and
-// the per-regime cache activity lands in the JSON trajectory record.
+// The oracle is stateless, so every requested affinity entry is a computed
+// kernel evaluation and one entries slope is checked against the theory.
 #include "bench_util.h"
 #include "registry.h"
 
@@ -30,12 +27,8 @@ struct RegimeSpec {
 
 struct RegimeResult {
   const char* name;
-  double requested_slope = 0.0;
-  double computed_slope = 0.0;
+  double entries_slope = 0.0;
   double space_slope = 0.0;
-  int64_t cache_hits = 0;       // at the largest n
-  int64_t cache_evictions = 0;  // at the largest n
-  int64_t cache_budget = 0;     // at the largest n
 };
 
 void Run(BenchContext& ctx) {
@@ -49,13 +42,12 @@ void Run(BenchContext& ctx) {
   };
 
   std::vector<RegimeResult> results;
-  std::printf("\n%-22s %-11s %-11s %-11s %-12s %-12s\n", "regime",
-              "t-slope(th)", "t-slope(rq)", "t-slope(ms)", "sp-slope(th)",
-              "sp-slope(ms)");
+  std::printf("\n%-22s %-11s %-11s %-12s %-12s\n", "regime", "t-slope(th)",
+              "t-slope(ms)", "sp-slope(th)", "sp-slope(ms)");
   for (const RegimeSpec& spec : specs) {
     RegimeResult result;
     result.name = spec.name;
-    std::vector<double> xs, requested, computed, bytes;
+    std::vector<double> xs, entries, bytes;
     for (double base : sizes) {
       SyntheticConfig cfg;
       cfg.n = ctx.Scaled(base);
@@ -75,25 +67,17 @@ void Run(BenchContext& ctx) {
       oracle.ResetCounters();
       detector.DetectAll();
       xs.push_back(data.size());
-      requested.push_back(static_cast<double>(oracle.entries_computed() +
-                                              oracle.cache_hits()));
-      computed.push_back(static_cast<double>(oracle.entries_computed()));
+      entries.push_back(static_cast<double>(oracle.entries_computed()));
       bytes.push_back(static_cast<double>(oracle.peak_bytes()));
-      result.cache_hits = oracle.cache_hits();
-      result.cache_evictions = oracle.cache_evictions();
-      result.cache_budget = oracle.cache_budget_bytes();
     }
-    result.requested_slope = LogLogSlope(xs, requested);
-    result.computed_slope = LogLogSlope(xs, computed);
+    result.entries_slope = LogLogSlope(xs, entries);
     result.space_slope = LogLogSlope(xs, bytes);
-    std::printf("%-22s %-11.1f %-11.2f %-11.2f %-12.1f %-12.2f\n", spec.name,
-                spec.theory_time_slope, result.requested_slope,
-                result.computed_slope, spec.theory_space_slope,
-                result.space_slope);
+    std::printf("%-22s %-11.1f %-11.2f %-12.1f %-12.2f\n", spec.name,
+                spec.theory_time_slope, result.entries_slope,
+                spec.theory_space_slope, result.space_slope);
     results.push_back(result);
   }
-  std::printf("\nNote: the theory column compares against the *requested* "
-              "slope (rq). Space for the bounded regime is O(a*(a*+delta)) — "
+  std::printf("\nNote: space for the bounded regime is O(a*(a*+delta)) — "
               "constant in n, so its measured slope should hover near 0; "
               "the sublinear regime's theoretical slopes are 1+eta and "
               "2*eta.\n");
@@ -101,13 +85,9 @@ void Run(BenchContext& ctx) {
   for (size_t i = 0; i < results.size(); ++i) {
     const RegimeResult& r = results[i];
     AppendF(json,
-            "%s{\"regime\":\"%s\",\"requested_slope\":%.4f,"
-            "\"computed_slope\":%.4f,\"space_slope\":%.4f,\"cache_hits\":%lld,"
-            "\"cache_evictions\":%lld,\"cache_budget_bytes\":%lld}",
-            i == 0 ? "" : ",", r.name, r.requested_slope, r.computed_slope,
-            r.space_slope, static_cast<long long>(r.cache_hits),
-            static_cast<long long>(r.cache_evictions),
-            static_cast<long long>(r.cache_budget));
+            "%s{\"regime\":\"%s\",\"entries_slope\":%.4f,"
+            "\"space_slope\":%.4f}",
+            i == 0 ? "" : ",", r.name, r.entries_slope, r.space_slope);
   }
   json += "]}";
   ctx.EmitJson(json);

@@ -2,7 +2,7 @@
 //
 // Runs PALID on a SIFT-like workload with 1/2/4/8 executors and reports wall
 // time, the speedup ratio against 1 executor, the aggregate map-task time,
-// executor steal counts and the shared-column-cache hit rate; a final row
+// executor steal counts and the kernel entries computed; a final row
 // runs the paper-faithful FIFO ablation at the widest executor count. On the
 // paper's 8-core Spark cluster the speedup reaches 7.51 at 8 executors; on
 // this host the wall-clock speedup saturates at the physical core count, so
@@ -35,9 +35,7 @@ struct SweepRow {
 SweepRow RunOnce(const LabeledData& data, const LshIndex& lsh,
                  const AffinityFunction& affinity, int executors,
                  bool work_stealing, double base_wall) {
-  // A fresh oracle (with its default-on, auto-budgeted cache) per
-  // configuration keeps the sweep fair: no run benefits from a
-  // predecessor's warm cache.
+  // A fresh oracle per configuration, so every run's counters are its own.
   LazyAffinityOracle oracle(data.data, affinity);
   PalidOptions opts;
   opts.num_executors = executors;
@@ -58,11 +56,11 @@ SweepRow RunOnce(const LabeledData& data, const LshIndex& lsh,
 }
 
 void PrintRow(const SweepRow& row) {
-  std::printf("%-11s %-6d %-10.3f %-9.2f %-12.3f %-7.2f %-8lld %-9.3f %-8.3f\n",
+  std::printf("%-11s %-6d %-10.3f %-9.2f %-12.3f %-7.2f %-8lld %-9lld %-8.3f\n",
               row.method, row.executors, row.stats.wall_seconds, row.speedup,
               row.stats.total_task_seconds, row.concurrency,
               static_cast<long long>(row.stats.steals),
-              row.stats.cache_hit_rate, row.avg_f);
+              static_cast<long long>(row.stats.entries_computed), row.avg_f);
 }
 
 void PrintHistogram(const SweepRow& row) {
@@ -84,23 +82,14 @@ void EmitSweepJson(BenchContext& ctx, const std::vector<SweepRow>& rows,
         "%s{\"method\":\"%s\",\"executors\":%d,\"wall_seconds\":%.6f,"
         "\"speedup\":%.4f,\"gate_speedup\":%s,\"task_seconds\":%.6f,"
         "\"concurrency\":%.4f,"
-        "\"steals\":%lld,\"cache_hits\":%lld,\"entries_computed\":%lld,"
-        "\"cache_hit_rate\":%.4f,\"cache_evictions\":%lld,"
-        "\"cache_stale_drops\":%lld,"
-        "\"cache_bytes\":%lld,\"cache_budget_bytes\":%lld,"
+        "\"steals\":%lld,\"entries_computed\":%lld,"
         "\"num_seeds\":%d,\"num_tasks\":%d,\"avg_f\":%.4f}",
         i == 0 ? "" : ",", r.method, r.executors, r.stats.wall_seconds,
         r.speedup,
         std::string_view(r.method) == "PALID" ? "true" : "false",
         r.stats.total_task_seconds, r.concurrency,
         static_cast<long long>(r.stats.steals),
-        static_cast<long long>(r.stats.cache_hits),
         static_cast<long long>(r.stats.entries_computed),
-        r.stats.cache_hit_rate,
-        static_cast<long long>(r.stats.cache_evictions),
-        static_cast<long long>(r.stats.cache_stale_drops),
-        static_cast<long long>(r.stats.cache_bytes),
-        static_cast<long long>(r.stats.cache_budget_bytes),
         r.stats.num_seeds, r.stats.num_tasks, r.avg_f);
   }
   json += "]}";
@@ -122,10 +111,10 @@ void Run(BenchContext& ctx) {
   AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
   LshIndex lsh(data.data, MakeLshParams(data));
 
-  PrintHeader("executors sweep (work-stealing pool + shared column cache)");
+  PrintHeader("executors sweep (work-stealing pool)");
   std::printf("%-11s %-6s %-10s %-9s %-12s %-7s %-8s %-9s %-8s\n", "method",
               "execs", "wall(s)", "speedup", "task-sum(s)", "conc.", "steals",
-              "hit-rate", "AVG-F");
+              "entries", "AVG-F");
   std::vector<SweepRow> rows;
   double base_wall = 0.0;
   for (int execs : {1, 2, 4, 8}) {

@@ -52,8 +52,6 @@ struct RunStats {
   int64_t peak_bytes = 0;       // algorithmic memory (see RunAlid for ALID)
   int64_t entries = 0;          // affinity entries computed (when known)
   int num_dense_clusters = 0;   // clusters above the density threshold
-  int64_t cache_hits = 0;       // kernel evals the column cache avoided
-  int64_t cache_evictions = 0;  // LRU drops while over budget
 };
 
 /// The standard LSH parameters of this harness; `r_scale` multiplies the
@@ -82,14 +80,9 @@ inline RunStats RunAlid(const LabeledData& data, double r_scale = 1.0,
   stats.method = "ALID";
   stats.seconds = timer.Seconds();
   // Algorithmic memory: the live local matrices (Charge/Discharge), i.e. the
-  // paper's O(a*(a*+delta)) cost the figures verify. The default-on column
-  // cache is a separately budgeted accelerator — MemoryTracker still
-  // accounts it, but folding its bounded footprint into this curve would
-  // drown the slope being measured.
+  // paper's O(a*(a*+delta)) cost the figures verify.
   stats.peak_bytes = oracle.peak_bytes();
   stats.entries = oracle.entries_computed();
-  stats.cache_hits = oracle.cache_hits();
-  stats.cache_evictions = oracle.cache_evictions();
   DetectionResult kept = result.Filtered(options.density_threshold);
   stats.num_dense_clusters = static_cast<int>(kept.clusters.size());
   stats.avg_f = AverageF1(data.true_clusters, kept);

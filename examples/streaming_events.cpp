@@ -4,10 +4,10 @@
 // News items arrive in batches. Each batch is hashed and scored against the
 // live events in parallel on a shared work-stealing pool (the streamed state
 // is bit-identical for any executor count), absorbed in arrival order, and a
-// sliding window expires old coverage: expired items leave the LSH index,
-// their cached affinities are invalidated, and the events they supported are
-// locally re-detected. No global recomputation ever runs, and the index and
-// cache footprints stay bounded by the window, not the stream.
+// sliding window expires old coverage: expired items leave the LSH index and
+// the events they supported are locally re-detected. No global recomputation
+// ever runs, and the index footprint stays bounded by the window, not the
+// stream.
 //
 //   ./build/example_streaming_events
 #include <algorithm>
@@ -107,13 +107,11 @@ int main() {
               online.clusters().size(), online.alive(),
               AverageF1(truth, detected));
   std::printf("stream totals: %lld arrivals, %lld absorbed on entry, %lld "
-              "evicted, %lld local re-detections, %lld cached affinities "
-              "invalidated, %lld executor steals\n",
+              "evicted, %lld local re-detections, %lld executor steals\n",
               static_cast<long long>(stats.arrivals),
               static_cast<long long>(stats.absorbed),
               static_cast<long long>(stats.evicted),
               static_cast<long long>(stats.redetections),
-              static_cast<long long>(stats.cache_entries_invalidated),
               static_cast<long long>(pool.steal_count()));
   std::printf("absorb fast path: %lld candidate scorings pruned by the "
               "support sketch, %lld exact fallbacks; refresh map stage: "

@@ -9,23 +9,9 @@ namespace alid {
 
 LazyAffinityOracle::LazyAffinityOracle(const Dataset& data,
                                        const AffinityFunction& affinity)
-    : data_(&data), affinity_(&affinity) {
-  // Default-on shared cache, budgeted to the dataset. Cached values are
-  // bit-identical to recomputation, so this can never change a detection —
-  // only the entries_computed / cache_hits split and the bounded footprint.
-  cache_ = std::make_unique<ColumnCache>(
-      ColumnCacheOptions::ForDataSize(data.size()));
-}
+    : data_(&data), affinity_(&affinity) {}
 
 Scalar LazyAffinityOracle::Entry(Index i, Index j) const {
-  if (cache_ != nullptr) {
-    Scalar value;
-    if (cache_->Lookup(i, j, &value)) return value;
-    value = (*affinity_)(*data_, i, j);
-    entries_computed_.fetch_add(1, std::memory_order_relaxed);
-    cache_->Insert(i, j, value);
-    return value;
-  }
   entries_computed_.fetch_add(1, std::memory_order_relaxed);
   return (*affinity_)(*data_, i, j);
 }
@@ -33,22 +19,22 @@ Scalar LazyAffinityOracle::Entry(Index i, Index j) const {
 std::vector<Scalar> LazyAffinityOracle::Column(std::span<const Index> rows,
                                                Index col) const {
   std::vector<Scalar> out(rows.size());
-  if (cache_ != nullptr) {
-    int64_t computed = 0;
-    for (size_t r = 0; r < rows.size(); ++r) {
-      if (cache_->Lookup(rows[r], col, &out[r])) continue;
-      out[r] = (*affinity_)(*data_, rows[r], col);
-      cache_->Insert(rows[r], col, out[r]);
-      ++computed;
-    }
-    entries_computed_.fetch_add(computed, std::memory_order_relaxed);
-    return out;
-  }
-  for (size_t r = 0; r < rows.size(); ++r) {
-    out[r] = (*affinity_)(*data_, rows[r], col);
-  }
   entries_computed_.fetch_add(static_cast<int64_t>(rows.size()),
                               std::memory_order_relaxed);
+  // a_ij = FromDistance(Distance(i, j)) with a symmetric distance, so the
+  // column is the kernel of every row's distance to `col` as the query point.
+  const double p = affinity_->params().p;
+  const std::span<const Scalar> point = (*data_)[col];
+  if (SimdSupportsNorm(p)) {
+    GatheredDistances(*ActiveSimdOps(), *data_, rows, point, p, out.data());
+  } else {
+    for (size_t r = 0; r < rows.size(); ++r) {
+      out[r] = data_->DistanceTo(rows[r], point, p);
+    }
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    out[r] = rows[r] == col ? 0.0 : affinity_->FromDistance(out[r]);
+  }
   return out;
 }
 
@@ -65,21 +51,6 @@ void LazyAffinityOracle::DistancesTo(std::span<const Index> items,
   for (size_t i = 0; i < items.size(); ++i) {
     out[i] = data_->DistanceTo(items[i], point, p);
   }
-}
-
-void LazyAffinityOracle::EnableColumnCache(ColumnCacheOptions options) {
-  cache_ = std::make_unique<ColumnCache>(options);
-}
-
-void LazyAffinityOracle::DisableColumnCache() { cache_.reset(); }
-
-int64_t LazyAffinityOracle::InvalidateCachedItems(
-    std::span<const Index> items) {
-  return cache_ != nullptr ? cache_->EraseItems(items) : 0;
-}
-
-void LazyAffinityOracle::RebudgetColumnCache(size_t max_bytes) {
-  if (cache_ != nullptr) cache_->Rebudget(max_bytes);
 }
 
 void LazyAffinityOracle::Charge(int64_t bytes) const {
@@ -100,10 +71,6 @@ void LazyAffinityOracle::ResetCounters() {
   distances_computed_.store(0);
   current_bytes_.store(0);
   peak_bytes_.store(0);
-  // The cache's counters belong to the same measurement window — without
-  // this, requested work (entries_computed + cache_hits) double-counts
-  // pre-reset hits. Cached entries stay warm; only the tallies reset.
-  if (cache_ != nullptr) cache_->ResetCounters();
 }
 
 }  // namespace alid

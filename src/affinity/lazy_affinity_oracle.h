@@ -2,12 +2,11 @@
 #define ALID_AFFINITY_LAZY_AFFINITY_ORACLE_H_
 
 #include <atomic>
-#include <memory>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "affinity/affinity_function.h"
-#include "affinity/column_cache.h"
 #include "common/dataset.h"
 #include "common/types.h"
 
@@ -18,19 +17,11 @@ namespace alid {
 /// vertices (Figure 3), so the oracle evaluates exactly those kernel entries
 /// and counts them. The counters feed Table 1's empirical verification.
 ///
-/// Detections own their local columns and release them when the cluster is
-/// peeled off, matching the paper's O(a*(a*+delta)) space argument. On top of
-/// that the constructor installs a shared, sharded, bounded LRU layer
-/// (ColumnCache) by default — auto-budgeted as a fraction of the dense-matrix
-/// footprint via ColumnCacheOptions::ForDataSize — so detections (and
-/// concurrent PALID runs) whose ROIs overlap reuse kernel entries instead of
-/// recomputing them. Cached values are bit-identical to recomputation, so
-/// results never depend on the cache; DisableColumnCache() restores the
-/// paper-faithful stateless oracle. Cache hits never advance
-/// entries_computed — that counter keeps meaning true kernel evaluations, so
-/// Table 1 numbers stay honest; reuse is reported separately through
-/// cache_hits(). Counters and the cache are thread-safe so PALID workers can
-/// share one oracle.
+/// The oracle is stateless: detections own their local columns and release
+/// them when the cluster is peeled off, so affinity storage stays within the
+/// paper's O(a*(a*+delta)) space bound. Every request is a true kernel
+/// evaluation (entries_computed counts them all). Counters are atomic so
+/// PALID workers can share one oracle.
 class LazyAffinityOracle {
  public:
   LazyAffinityOracle(const Dataset& data, const AffinityFunction& affinity);
@@ -44,6 +35,10 @@ class LazyAffinityOracle {
 
   /// Column fragment A_{rows, col}: affinities between `col` and every index
   /// in `rows`, in order. This is the unit of work of a LID iteration.
+  /// Bit-identical to per-element Entry(rows[r], col) calls — 0 where
+  /// rows[r] == col, and entries_computed advances by rows.size() — but the
+  /// distances of the supported norms (p == 2, p == 1) run gathered through
+  /// the SIMD tile kernels, like DistancesTo.
   std::vector<Scalar> Column(std::span<const Index> rows, Index col) const;
 
   /// Distance between item i and an arbitrary point (used by the ROI test).
@@ -60,54 +55,18 @@ class LazyAffinityOracle {
   void DistancesTo(std::span<const Index> items,
                    std::span<const Scalar> point, Scalar* out) const;
 
-  /// Replaces (or resizes) the default shared column cache. Call before
-  /// detections start sharing this oracle; not thread-safe against
-  /// concurrent reads.
-  void EnableColumnCache(ColumnCacheOptions options = {});
-
-  /// Removes the cache, restoring the paper-faithful stateless oracle.
-  void DisableColumnCache();
-
-  /// Streaming expiry hook: invalidates every cached kernel entry involving
-  /// `items` (whose dataset rows are about to be re-used by new arrivals),
-  /// so the cache never serves an affinity computed against an evicted
-  /// point. O(items) — the entries are generation-tagged and dropped lazily
-  /// on their next Lookup. Returns the number of items tagged (0 when the
-  /// cache is disabled).
-  int64_t InvalidateCachedItems(std::span<const Index> items);
-
-  /// Streaming growth hook: re-sizes the cache budget in place (warm entries
-  /// survive a growth). No-op when the cache is disabled.
-  void RebudgetColumnCache(size_t max_bytes);
-
-  /// The installed cache, or nullptr when disabled.
-  const ColumnCache* column_cache() const { return cache_.get(); }
-
-  /// Kernel evaluations avoided by the column cache (0 when disabled).
-  int64_t cache_hits() const { return cache_ ? cache_->hits() : 0; }
-
-  /// Entries dropped by the cache's LRU policy while over budget.
-  int64_t cache_evictions() const { return cache_ ? cache_->evictions() : 0; }
-
-  /// Entries dropped lazily because an invalidation tag outdated them.
-  int64_t cache_stale_drops() const {
-    return cache_ ? cache_->stale_drops() : 0;
-  }
-
-  /// Current accounted cache footprint / live budget (0 when disabled).
-  int64_t cache_size_bytes() const {
-    return cache_ ? static_cast<int64_t>(cache_->size_bytes()) : 0;
-  }
-  int64_t cache_budget_bytes() const {
-    return cache_ ? static_cast<int64_t>(cache_->max_bytes()) : 0;
-  }
+  /// Always 0: the oracle keeps no kernel-entry cache. Kept for callers
+  /// that still report the former cache's hit, eviction and budget figures.
+  int64_t cache_hits() const { return 0; }
+  int64_t cache_evictions() const { return 0; }
+  int64_t cache_budget_bytes() const { return 0; }
 
   /// ROI-membership distance evaluations — the CIVS scanning cost the
   /// logistic radius schedule (Eq. 16) is designed to keep small early.
   int64_t distances_computed() const { return distances_computed_.load(); }
 
-  /// Total kernel evaluations since construction or the last ResetCounters().
-  /// Cache hits are excluded: this is true work, in the Table 1 sense.
+  /// Total kernel evaluations since construction or the last ResetCounters()
+  /// — true work, in the Table 1 sense.
   int64_t entries_computed() const { return entries_computed_.load(); }
 
   /// Peak bytes of affinity storage simultaneously alive, as reported by
@@ -124,7 +83,6 @@ class LazyAffinityOracle {
  private:
   const Dataset* data_;
   const AffinityFunction* affinity_;
-  std::unique_ptr<ColumnCache> cache_;
   mutable std::atomic<int64_t> entries_computed_{0};
   mutable std::atomic<int64_t> distances_computed_{0};
   mutable std::atomic<int64_t> current_bytes_{0};

@@ -30,11 +30,8 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   ALID_CHECK(options_.window >= 0);
   ALID_CHECK(options_.refresh_interval >= 1);
   ALID_CHECK(options_.refresh_frontier >= 1);
-  ALID_CHECK(options_.cache_budget_fraction > 0.0 &&
-             options_.cache_budget_fraction <= 1.0);
   simd_norm_ = SimdSupportsNorm(options_.affinity.p);
   oracle_ = std::make_unique<LazyAffinityOracle>(data_, affinity_fn_);
-  if (!options_.column_cache) oracle_->DisableColumnCache();
   lsh_ = std::make_unique<LshIndex>(data_, options_.lsh);
 
   // Re-home the stream counters onto the per-instance registry (StreamStats
@@ -50,8 +47,6 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   metrics_.refreshes = registry.AddCounter("refreshes");
   metrics_.clusters_born = registry.AddCounter("clusters_born");
   metrics_.clusters_dissolved = registry.AddCounter("clusters_dissolved");
-  metrics_.cache_invalidated = registry.AddCounter("cache_invalidated");
-  metrics_.cache_rebudgets = registry.AddCounter("cache_rebudgets");
   metrics_.sketch_prunes = registry.AddCounter("sketch_prunes");
   metrics_.sketch_exact = registry.AddCounter("sketch_exact");
   metrics_.refresh_rounds = registry.AddCounter("refresh_rounds");
@@ -65,20 +60,6 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   // instead of living only in the in-process percentile window.
   metrics_.batch_seconds.AttachHistogram(
       registry.AddHistogram("ingest_seconds", obs::LatencyHistogramEdges()));
-  // Cache telemetry reads through the oracle (null-safe when the cache is
-  // disabled); the oracle lives and dies with the stream, like the registry.
-  const LazyAffinityOracle* oracle = oracle_.get();
-  registry.AddCallbackGauge("cache_hits",
-                            [oracle] { return oracle->cache_hits(); });
-  registry.AddCallbackGauge("cache_evictions",
-                            [oracle] { return oracle->cache_evictions(); });
-  registry.AddCallbackGauge("cache_stale_drops",
-                            [oracle] { return oracle->cache_stale_drops(); });
-  registry.AddCallbackGauge("cache_bytes",
-                            [oracle] { return oracle->cache_size_bytes(); });
-  registry.AddCallbackGauge("cache_budget_bytes", [oracle] {
-    return oracle->cache_budget_bytes();
-  });
   // The shared pool (when set) must outlive this stream — already the
   // standing usage contract, since every batch runs phases on it.
   if (options_.pool != nullptr) {
@@ -96,9 +77,6 @@ StreamStats OnlineAlid::stats() const {
   s.refreshes = metrics_.refreshes->value();
   s.clusters_born = metrics_.clusters_born->value();
   s.clusters_dissolved = metrics_.clusters_dissolved->value();
-  s.cache_entries_invalidated = metrics_.cache_invalidated->value();
-  s.cache_rebudgets = metrics_.cache_rebudgets->value();
-  s.cache_budget_bytes = oracle_->cache_budget_bytes();
   s.sketch_prunes = metrics_.sketch_prunes->value();
   s.sketch_exact = metrics_.sketch_exact->value();
   s.refresh_rounds = metrics_.refresh_rounds->value();
@@ -192,8 +170,8 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
     }
   }
 
-  // Phase 6 (serial): sliding-window expiry, targeted cache invalidation,
-  // and repair of the clusters that lost members.
+  // Phase 6 (serial): sliding-window expiry and repair of the clusters that
+  // lost members.
   if (options_.window > 0) {
     ALID_TRACE_SCOPE("stream", "expire");
     ExpireToWindow();
@@ -207,7 +185,6 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   // batch's parallel scoring phase and any between-batch snapshot export
   // read only fresh ones.
   RefreshSketches();
-  MaybeRebudgetCache();
   metrics_.alive->Set(alive());
   metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
   metrics_.batch_seconds.Record(timer.Seconds());
@@ -612,10 +589,6 @@ void OnlineAlid::ExpireToWindow() {
     metrics_.evicted->Add(1);
   }
   if (expired.empty()) return;
-  // Invalidate before any repair detection runs and before the slots are
-  // re-used: a cached kernel value against an evicted point must never be
-  // served again.
-  metrics_.cache_invalidated->Add(oracle_->InvalidateCachedItems(expired));
   free_slots_.insert(free_slots_.end(), expired.begin(), expired.end());
   std::sort(free_slots_.begin(), free_slots_.end(), std::greater<Index>());
   // Repair the clusters that lost members, in ascending id order.
@@ -648,23 +621,6 @@ void OnlineAlid::DissolveCluster(int cluster_id) {
   cluster_dead_[cluster_id] = 1;
   ++cluster_version_[cluster_id];
   metrics_.clusters_dissolved->Add(1);
-}
-
-void OnlineAlid::MaybeRebudgetCache() {
-  if (oracle_->column_cache() == nullptr) return;
-  // The construction-time budget saw an empty dataset (the 1 MiB floor);
-  // re-derive it from the slot universe the stream actually grew. Growth
-  // only — the universe is monotone under a window (slots are re-used), so
-  // a shrink could only thrash. Depends solely on data_.size(), hence
-  // bit-identical across executors/grains like everything else here.
-  const size_t target =
-      ColumnCacheOptions::ForDataSize(data_.size(),
-                                      options_.cache_budget_fraction)
-          .max_bytes;
-  if (static_cast<int64_t>(target) > oracle_->cache_budget_bytes()) {
-    oracle_->RebudgetColumnCache(target);
-    metrics_.cache_rebudgets->Add(1);
-  }
 }
 
 void OnlineAlid::CompactClusters() {

@@ -36,9 +36,9 @@ struct OnlineAlidOptions {
   double absorb_slack = 0.05;
   /// Sliding window: at most this many arrivals stay alive. Older items are
   /// expired — removed from the LSH buckets, peeled out of their cluster
-  /// (which is then locally re-detected or dissolved), and their cached
-  /// affinities invalidated — and their slots re-used by later arrivals, so
-  /// index and cache footprints stay bounded by the window, not the stream.
+  /// (which is then locally re-detected or dissolved) — and their slots
+  /// re-used by later arrivals, so the index footprint stays bounded by the
+  /// window, not the stream.
   /// 0 keeps every arrival forever (the append-only mode of the original
   /// extension).
   Index window = 0;
@@ -50,17 +50,6 @@ struct OnlineAlidOptions {
   ThreadPool* pool = nullptr;
   /// Chunk grain of the parallel phases (see DeterministicGrain); 0 auto.
   int64_t grain = 0;
-  /// Installs the shared column cache under the oracle (the default-on
-  /// runtime behavior). Cached values are bit-identical to recomputation
-  /// and expiry invalidates them before a slot is re-used, so the streamed
-  /// state never depends on this flag; false keeps the stateless oracle
-  /// (the cache-on ≡ cache-off harness flips it).
-  bool column_cache = true;
-  /// Fraction of the dense-matrix footprint the auto-budgeted column cache
-  /// may hold (see ColumnCacheOptions::ForDataSize) — the ROADMAP's 1/16
-  /// first guess surfaced as a stream knob so the bench trajectory's
-  /// hit-rate/eviction telemetry can drive a re-tune without a code change.
-  double cache_budget_fraction = ColumnCacheOptions::kDefaultAutoBudgetFraction;
   /// Per-cluster support-sketch sizing. The sketch is a branch-and-bound
   /// filter in front of exact absorb scoring: with a bounded kernel, any
   /// scored prefix of the top-weight members plus the remaining weight
@@ -94,15 +83,6 @@ struct StreamStats {
   int64_t refreshes = 0;     ///< Maintenance passes over the pool.
   int64_t clusters_born = 0;
   int64_t clusters_dissolved = 0;
-  /// Expired items tagged by the expiry invalidation path (their cached
-  /// kernel entries drop lazily on next lookup; see ColumnCache::EraseItems).
-  int64_t cache_entries_invalidated = 0;
-  /// In-place cache budget growths as the window filled past the
-  /// construction-time floor (the budget is a function of the slot universe,
-  /// which is empty at construction and bounded by window + batch after).
-  int64_t cache_rebudgets = 0;
-  /// Live cache budget after the most recent batch (0 when cache off).
-  int64_t cache_budget_bytes = 0;
   /// Candidate clusters rejected by the support-sketch upper bound during
   /// absorb scoring — exact work the branch-and-bound filter skipped.
   int64_t sketch_prunes = 0;
@@ -154,9 +134,9 @@ struct StreamStats {
 /// pool (the PALID map idiom), validated and applied serially in seed order
 /// so the outcome never depends on the executors. Under a sliding window,
 /// batch ingest ends by expiring the oldest items: they leave the LSH
-/// buckets, their cached affinities are invalidated (their slots will be
-/// re-used), and every cluster that lost members is locally re-detected or
-/// dissolved. Costs stay local: no global recomputation ever happens.
+/// buckets (their slots will be re-used), and every cluster that lost
+/// members is locally re-detected or dissolved. Costs stay local: no global
+/// recomputation ever happens.
 class OnlineAlid {
  public:
   explicit OnlineAlid(int dim, OnlineAlidOptions options);
@@ -233,11 +213,11 @@ class OnlineAlid {
   StreamStats stats() const;
 
   /// The per-instance instrument registry behind stats(): every stream
-  /// counter plus the cache and pool gauges, exportable as single-line
-  /// JSON (bench trajectory) or Prometheus text.
+  /// counter plus the pool gauges, exportable as single-line JSON (bench
+  /// trajectory) or Prometheus text.
   const obs::MetricsRegistry& metrics() const { return metrics_.registry; }
 
-  /// The shared oracle (cache hit/eviction counters for benches and tests).
+  /// The shared oracle (kernel-entry counters for benches and tests).
   const LazyAffinityOracle& oracle() const { return *oracle_; }
 
  private:
@@ -290,17 +270,14 @@ class OnlineAlid {
   // batch / refresh, so scoring and exports always see fresh sketches).
   void RefreshSketches();
   void Assign(int cluster_id);
-  // Expires the oldest items down to the window, invalidates their cached
-  // affinities and repairs the clusters they were peeled out of.
+  // Expires the oldest items down to the window and repairs the clusters
+  // they were peeled out of.
   void ExpireToWindow();
   // Re-detects a cluster that lost members to expiry (or dissolves it).
   void RepairCluster(int cluster_id);
   void DissolveCluster(int cluster_id);
   // Erases dead clusters and remaps assignments (end of batch / refresh).
   void CompactClusters();
-  // Grows the cache budget when the slot universe outgrew the current one
-  // (ROADMAP: the empty-dataset construction floor must not freeze forever).
-  void MaybeRebudgetCache();
 
   OnlineAlidOptions options_;
   Dataset data_;
@@ -340,7 +317,7 @@ class OnlineAlid {
 
   // The stream counters re-homed onto a per-instance registry (StreamStats
   // is materialized from these): relaxed-atomic Adds in the serial apply
-  // phases, cache/pool telemetry as callback gauges, batch latencies in the
+  // phases, pool telemetry as callback gauges, batch latencies in the
   // shared bounded reservoir. Wired in the constructor; pointers are stable
   // for the stream's lifetime.
   struct StreamInstruments {
@@ -353,8 +330,6 @@ class OnlineAlid {
     obs::Counter* refreshes = nullptr;
     obs::Counter* clusters_born = nullptr;
     obs::Counter* clusters_dissolved = nullptr;
-    obs::Counter* cache_invalidated = nullptr;
-    obs::Counter* cache_rebudgets = nullptr;
     obs::Counter* sketch_prunes = nullptr;
     obs::Counter* sketch_exact = nullptr;
     obs::Counter* refresh_rounds = nullptr;

@@ -47,8 +47,8 @@ struct PalidOptions {
 /// Statistics of one PALID run, for the Table 2 harness: wall time, the
 /// aggregate busy time across map tasks (whose ratio to wall time shows the
 /// realized parallelism even on machines with few physical cores), executor
-/// steal counts, shared-column-cache effectiveness, and the per-task busy
-/// times from which the bench prints a load-balance histogram.
+/// steal counts, kernel entries computed, and the per-task busy times from
+/// which the bench prints a load-balance histogram.
 struct PalidStats {
   int num_seeds = 0;
   int num_tasks = 0;
@@ -57,21 +57,8 @@ struct PalidStats {
   /// Map tasks executed by an executor other than the one they were queued
   /// on (0 under the FIFO ablation).
   int64_t steals = 0;
-  /// Kernel evaluations avoided / performed during this run. hit_rate is
-  /// hits / (hits + computed); 0 when the oracle has no column cache.
-  int64_t cache_hits = 0;
+  /// Kernel evaluations performed during this run.
   int64_t entries_computed = 0;
-  double cache_hit_rate = 0.0;
-  /// Column-cache eviction activity during this run plus the cache's
-  /// footprint and configured budget at the end of it (all 0 when the oracle
-  /// has no cache) — the observability knobs of the default-on flip.
-  int64_t cache_evictions = 0;
-  /// Entries dropped lazily because an invalidation tag outdated them (only
-  /// nonzero when the oracle is shared with a stream whose expiry tags
-  /// items) — completes the cache telemetry the bench JSON surfaces.
-  int64_t cache_stale_drops = 0;
-  int64_t cache_bytes = 0;
-  int64_t cache_budget_bytes = 0;
   /// Busy seconds of each map task, in task order.
   std::vector<double> task_seconds;
 
@@ -96,7 +83,7 @@ class Palid {
   /// detections deduplicated by the reduce rule; apply Filtered() for the
   /// paper's density cut. Besides the optional per-run PalidStats, every
   /// call accumulates its totals onto the global metrics registry's
-  /// `palid_*` counters (runs/seeds/tasks/clusters/steals/cache_hits/
+  /// `palid_*` counters (runs/seeds/tasks/clusters/steals/
   /// entries_computed) and emits "palid" detect/map/reduce trace spans.
   DetectionResult Detect(PalidStats* stats = nullptr) const;
 

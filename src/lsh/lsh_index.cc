@@ -13,15 +13,15 @@ namespace alid {
 
 namespace {
 
-// 64-bit FNV-1a over a sequence of 32-bit floor values.
-uint64_t HashFloors(const int32_t* vals, int count) {
-  uint64_t h = 1469598103934665603ull;
-  for (int i = 0; i < count; ++i) {
-    uint32_t v = static_cast<uint32_t>(vals[i]);
-    for (int b = 0; b < 4; ++b) {
-      h ^= (v >> (8 * b)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+// 64-bit FNV-1a over a sequence of 32-bit floor values, folded one value
+// at a time: start from kFnvOffsetBasis and fold each floor in order.
+constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+
+uint64_t FoldFloor(uint64_t h, int32_t value) {
+  const uint32_t v = static_cast<uint32_t>(value);
+  for (int b = 0; b < 4; ++b) {
+    h ^= (v >> (8 * b)) & 0xffu;
+    h *= 1099511628211ull;
   }
   return h;
 }
@@ -168,15 +168,16 @@ uint64_t LshIndex::HashPoint(const Table& table,
                              std::span<const Scalar> point) const {
   const int d = dim_;
   ALID_DCHECK(static_cast<int>(point.size()) == d);
-  std::vector<int32_t> floors(params_.num_projections);
+  uint64_t h = kFnvOffsetBasis;
   for (int p = 0; p < params_.num_projections; ++p) {
     const Scalar* proj = table.projections.data() + static_cast<size_t>(p) * d;
     Scalar dot = 0.0;
     for (int k = 0; k < d; ++k) dot += proj[k] * point[k];
-    floors[p] = static_cast<int32_t>(
-        std::floor((dot + table.offsets[p]) / params_.segment_length));
+    const Scalar bucket =
+        std::floor((dot + table.offsets[p]) / params_.segment_length);
+    h = FoldFloor(h, static_cast<int32_t>(bucket));
   }
-  return HashFloors(floors.data(), params_.num_projections);
+  return h;
 }
 
 std::vector<Index> LshIndex::QueryByIndex(Index i) const {

@@ -109,8 +109,8 @@ class MetricsRegistry {
   Counter* AddCounter(const std::string& name);
   Gauge* AddGauge(const std::string& name);
   /// A gauge whose value is read on export — for telemetry that already
-  /// lives in some other object's atomics (ColumnCache, ThreadPool, the
-  /// memory trackers). The callback must stay valid for the registry's
+  /// lives in some other object's atomics (ThreadPool, the memory
+  /// trackers). The callback must stay valid for the registry's
   /// lifetime and be safe to call from any thread.
   void AddCallbackGauge(const std::string& name,
                         std::function<int64_t()> read);

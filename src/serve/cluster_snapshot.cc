@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 
 #include "affinity/lazy_affinity_oracle.h"
@@ -214,15 +215,15 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
 
   // Verify each fresh cluster's density from the build's own kernel
   // entries: x^T A x over the exported support, through a build-scratch
-  // delta dataset (the fresh clusters' rows only) and lazy oracle whose
-  // column cache dedups the symmetric (t, u)/(u, t) pairs. Per-cluster sums
-  // run serially in a fixed order inside deterministic chunks, so the
-  // values are bit-identical for any pool width or grain — and for a shared
-  // cluster, bit-identical to the predecessor's value its block carries,
-  // which is why this pass may skip it. The scratch dataset and oracle die
-  // with this scope: only the verified densities (in the blocks) and the
-  // cache-hit counter survive, so the snapshot holds no second copy of any
-  // member row.
+  // delta dataset (the fresh clusters' rows only) and lazy oracle, one
+  // gathered column A_{support, t} per member t. The kernel is symmetric, so
+  // column[u] is the (t, u) entry and the sum keeps the (t, u) order. Per-
+  // cluster sums run serially in a fixed order inside deterministic chunks,
+  // so the values are bit-identical for any pool width or grain — and for a
+  // shared cluster, bit-identical to the predecessor's value its block
+  // carries, which is why this pass may skip it. The scratch dataset and
+  // oracle die with this scope: only the verified densities (in the blocks)
+  // survive, so the snapshot holds no second copy of any member row.
   {
     ALID_TRACE_SCOPE("publish", "verify_density");
     Dataset delta(dim);
@@ -234,25 +235,26 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
                                               fresh[c]->rows.size()));
     }
     if (!delta.empty()) {
-      LazyAffinityOracle oracle(delta, *snap->affinity_fn_);
+      const LazyAffinityOracle oracle(delta, *snap->affinity_fn_);
       ParallelChunks(
           options.pool, 0, num_clusters, options.grain,
           [&fresh, &delta_begin, &oracle](int64_t, int64_t lo, int64_t hi) {
             for (int64_t c = lo; c < hi; ++c) {
               ClusterBlock* block = fresh[c].get();
               if (block == nullptr) continue;
-              const Index base = delta_begin[c];
+              IndexList support(static_cast<size_t>(block->count));
+              std::iota(support.begin(), support.end(), delta_begin[c]);
               Scalar density = 0.0;
               for (Index t = 0; t < block->count; ++t) {
+                const std::vector<Scalar> column =
+                    oracle.Column(support, support[t]);
                 for (Index u = 0; u < block->count; ++u) {
-                  density += block->weights[t] * block->weights[u] *
-                             oracle.Entry(base + t, base + u);
+                  density += block->weights[t] * block->weights[u] * column[u];
                 }
               }
               block->verified_density = density;
             }
           });
-      snap->verification_cache_hits_ = oracle.cache_hits();
     }
   }
 

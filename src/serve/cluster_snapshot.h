@@ -110,7 +110,7 @@ struct ClusterSnapshotInfo {
   Index size = 0;
   Scalar density = 0.0;
   /// x^T A x recomputed from the snapshot build's own kernel entries
-  /// (through a build-scratch column cache) — an integrity check that the
+  /// (one gathered oracle column per member) — an integrity check that the
   /// exported supports and the reported density describe the same simplex.
   Scalar verified_density = 0.0;
   Index seed = -1;     ///< Source id of the detection seed.
@@ -236,10 +236,7 @@ class ClusterSnapshot {
     return {blocks_.data(), blocks_.size()};
   }
 
-  /// Per-snapshot substrate observability: column-cache hits of the build's
-  /// density-verification pass (the build-scratch oracle is discarded after
-  /// the pass — only its counters survive) and the LSH footprint.
-  int64_t verification_cache_hits() const { return verification_cache_hits_; }
+  /// Per-snapshot substrate observability: the LSH footprint.
   const LshIndex& lsh() const { return *lsh_; }
 
  private:
@@ -300,7 +297,6 @@ class ClusterSnapshot {
   // (rebuilt clusters hash their block rows, shared clusters re-insert their
   // inherited keys — identical buckets either way).
   std::unique_ptr<LshIndex> lsh_;
-  int64_t verification_cache_hits_ = 0;
   uint64_t generation_ = 0;
   SnapshotBuildInfo build_info_;
 };

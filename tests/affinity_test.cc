@@ -1,6 +1,10 @@
 // Unit tests for the affinity substrate: the Eq. 1 kernel, the materialized
 // matrix, the lazy column oracle and the sparsifiers.
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +16,7 @@
 #include "common/random.h"
 #include "data/synthetic.h"
 #include "lsh/lsh_index.h"
+#include "simd/simd_dispatch.h"
 
 namespace alid {
 namespace {
@@ -140,6 +145,44 @@ TEST(LazyAffinityOracleTest, ColumnFragment) {
   EXPECT_EQ(o.entries_computed(), 3);
 }
 
+TEST(LazyAffinityOracleTest, ColumnBitEqualsEntryForEveryNormAndIsa) {
+  // p = 2 and p = 1 run gathered through the SIMD tile kernels, p = 3 takes
+  // the scalar fallback; every path must reproduce Entry(row, col) bit for
+  // bit, diagonal 0 included, and count one kernel evaluation per row.
+  Rng rng(7);
+  std::vector<Scalar> values(40 * 13);
+  for (Scalar& v : values) v = rng.Gaussian(0.0, 3.0);
+  const Dataset d(13, values);
+  const Index col = 5;
+  const IndexList empty;
+  const IndexList diagonal = {col};
+  // A full tile plus a tail, containing col.
+  const IndexList tiles = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+  const IndexList duplicates = {9, 9, 5, 30, 9, 0, 39, 5, 17, 17, 22, 3};
+  for (const SimdIsa isa : AvailableSimdIsas()) {
+    ScopedSimdIsaOverride pin(isa);
+    SCOPED_TRACE(SimdIsaName(isa));
+    for (const double p : {1.0, 2.0, 3.0}) {
+      SCOPED_TRACE(p);
+      const AffinityFunction f({.k = 0.2, .p = p});
+      const LazyAffinityOracle o(d, f);
+      for (const IndexList& rows : {empty, diagonal, tiles, duplicates}) {
+        const int64_t before = o.entries_computed();
+        const std::vector<Scalar> column = o.Column(rows, col);
+        EXPECT_EQ(o.entries_computed() - before,
+                  static_cast<int64_t>(rows.size()));
+        ASSERT_EQ(column.size(), rows.size());
+        for (size_t r = 0; r < rows.size(); ++r) {
+          EXPECT_EQ(column[r], o.Entry(rows[r], col)) << "row " << rows[r];
+          if (rows[r] == col) {
+            EXPECT_EQ(column[r], 0.0);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(LazyAffinityOracleTest, ChargeDischargePeak) {
   AffinityFunction f({.k = 1.0, .p = 2.0});
   Dataset d = SmallLine();
@@ -152,6 +195,132 @@ TEST(LazyAffinityOracleTest, ChargeDischargePeak) {
   EXPECT_EQ(o.peak_bytes(), 300);
   o.ResetCounters();
   EXPECT_EQ(o.peak_bytes(), 0);
+}
+
+// The contracts the former shared column cache gave the oracle's callers,
+// which the stateless oracle keeps without one: repeated requests return
+// identical values, entries_computed counts true kernel work with hits
+// reported apart (always 0), concurrent use is consistent, and a re-used
+// slot never serves its previous occupant's affinities.
+LabeledData CacheData(Index n = 120) {
+  SyntheticConfig cfg;
+  cfg.n = n;
+  cfg.dim = 8;
+  cfg.num_clusters = 3;
+  cfg.seed = 11;
+  return MakeSynthetic(cfg);
+}
+
+TEST(ColumnCacheTest, OracleCountsHitsSeparatelyFromEntriesComputed) {
+  LabeledData data = CacheData();
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  LazyAffinityOracle oracle(data.data, affinity);
+
+  IndexList rows;
+  for (Index i = 0; i < 40; ++i) rows.push_back(i);
+  auto first = oracle.Column(rows, 100);
+  EXPECT_EQ(oracle.entries_computed(), 40);
+  EXPECT_EQ(oracle.cache_hits(), 0);
+
+  auto second = oracle.Column(rows, 100);
+  EXPECT_EQ(oracle.entries_computed(), 80);  // repeat work is recomputed ...
+  EXPECT_EQ(oracle.cache_hits(), 0);         // ... never reported as hits
+  EXPECT_EQ(first, second);
+
+  // Single entries agree with the column, including transposed.
+  EXPECT_EQ(oracle.Entry(100, 5), first[5]);
+  EXPECT_EQ(oracle.entries_computed(), 81);
+  EXPECT_EQ(oracle.cache_hits(), 0);
+}
+
+TEST(ColumnCacheTest, CachedValuesMatchUncachedOracle) {
+  LabeledData data = CacheData();
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  LazyAffinityOracle served(data.data, affinity);
+  IndexList rows;
+  for (Index i = 10; i < 60; ++i) rows.push_back(i);
+  for (Index col : {0, 5, 99, 100}) {
+    // A long-lived oracle answers repeat requests exactly like a fresh one
+    // and like the kernel itself.
+    const LazyAffinityOracle fresh(data.data, affinity);
+    const std::vector<Scalar> expected = fresh.Column(rows, col);
+    EXPECT_EQ(served.Column(rows, col), expected) << col;
+    EXPECT_EQ(served.Column(rows, col), expected) << col;
+    for (size_t r = 0; r < rows.size(); ++r) {
+      EXPECT_EQ(expected[r], affinity(data.data, rows[r], col)) << col;
+    }
+  }
+}
+
+TEST(ColumnCacheTest, DisableRestoresStatelessOracle) {
+  LabeledData data = CacheData();
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  LazyAffinityOracle oracle(data.data, affinity);
+  // Stateless from construction: no budget, no hits, no evictions, and
+  // every repeated entry is a kernel evaluation.
+  EXPECT_EQ(oracle.cache_budget_bytes(), 0);
+  oracle.Entry(1, 2);
+  oracle.Entry(1, 2);
+  EXPECT_EQ(oracle.entries_computed(), 2);
+  EXPECT_EQ(oracle.cache_hits(), 0);
+  EXPECT_EQ(oracle.cache_evictions(), 0);
+  const int64_t before = oracle.entries_computed();
+  oracle.Entry(1, 2);
+  EXPECT_EQ(oracle.entries_computed(), before + 1);
+}
+
+TEST(ColumnCacheTest, EraseItemsInvalidatesLazilyOnLookup) {
+  LabeledData data = CacheData();
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  Dataset slots = data.data;
+  LazyAffinityOracle oracle(slots, affinity);
+  const Scalar unrelated = oracle.Entry(3, 11);
+  const Scalar expired = oracle.Entry(1, 10);
+
+  // Re-use slot 10 for item 50, as the streaming runtime re-uses expired
+  // slots: the very next lookup serves the new occupant, with nothing to
+  // invalidate first.
+  const auto row = data.data[50];
+  std::copy(row.begin(), row.end(), slots.MutableRow(10).begin());
+  EXPECT_NE(oracle.Entry(1, 10), expired);
+  EXPECT_EQ(oracle.Entry(1, 10), affinity(data.data, 1, 50));
+  EXPECT_EQ(oracle.Entry(10, 2), affinity(data.data, 50, 2));
+  const IndexList rows = {1, 2, 11};
+  const std::vector<Scalar> column = oracle.Column(rows, 10);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(column[r], affinity(data.data, rows[r], 50)) << rows[r];
+  }
+  // The unrelated pair is unchanged.
+  EXPECT_EQ(oracle.Entry(3, 11), unrelated);
+}
+
+TEST(ColumnCacheTest, ConcurrentMixedUseIsConsistent) {
+  LabeledData data = CacheData(200);
+  AffinityFunction affinity({.k = data.suggested_k, .p = 2.0});
+  LazyAffinityOracle oracle(data.data, affinity);
+  const LazyAffinityOracle reference(data.data, affinity);
+
+  IndexList rows;
+  for (Index i = 0; i < 80; ++i) rows.push_back(i);
+  constexpr int kThreads = 4;
+  constexpr int kReps = 20;
+  std::vector<std::thread> threads;
+  std::atomic<bool> mismatch{false};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < kReps; ++rep) {
+        const Index col = 100 + (t * 20 + rep) % 50;
+        if (oracle.Column(rows, col) != reference.Column(rows, col)) {
+          mismatch.store(true);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_FALSE(mismatch.load());
+  EXPECT_EQ(oracle.cache_hits(), 0);
+  EXPECT_EQ(oracle.entries_computed(),
+            static_cast<int64_t>(kThreads * kReps * rows.size()));
 }
 
 TEST(SparsifierTest, DenseCsrMatchesAffinityMatrix) {

@@ -1,6 +1,6 @@
 // Determinism regression tests for the parallel runtime: PALID's output must
-// be bit-identical across executor counts, chunk sizes, scheduling
-// disciplines, and with the shared column cache on or off.
+// be bit-identical across executor counts, chunk sizes and scheduling
+// disciplines.
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -23,12 +23,8 @@ LabeledData Workload(Index n = 500) {
   return MakeSynthetic(cfg);
 }
 
-// TestPipeline's cache flag matters here: the oracle's cache is default-on,
-// and cache=false restores the stateless oracle so the cached/uncached
-// comparisons below stay meaningful.
 struct Fixture : TestPipeline {
-  explicit Fixture(const LabeledData& labeled, bool cache = false)
-      : TestPipeline(labeled, cache) {}
+  explicit Fixture(const LabeledData& labeled) : TestPipeline(labeled) {}
   DetectionResult Detect(PalidOptions opts) const {
     return Palid(*oracle, *lsh, opts).Detect();
   }
@@ -81,23 +77,6 @@ TEST(DeterminismTest, IdenticalUnderFifoAblation) {
   ExpectIdentical(fx.Detect(stealing), fx.Detect(fifo));
 }
 
-TEST(DeterminismTest, ColumnCacheNeverChangesDetections) {
-  LabeledData data = Workload();
-  Fixture plain(data, /*cache=*/false);
-  Fixture cached(data, /*cache=*/true);
-  PalidOptions opts;
-  opts.num_executors = 4;
-  DetectionResult without = plain.Detect(opts);
-  DetectionResult with = cached.Detect(opts);
-  ExpectIdentical(without, with);
-  EXPECT_GT(cached.oracle->cache_hits(), 0);  // the cache actually engaged
-
-  // And a cached run at a different executor count still matches.
-  PalidOptions two;
-  two.num_executors = 2;
-  ExpectIdentical(without, cached.Detect(two));
-}
-
 TEST(DeterminismTest, SeedSamplingIndependentOfExecutors) {
   LabeledData data = Workload();
   Fixture fx(data);
@@ -109,12 +88,35 @@ TEST(DeterminismTest, SeedSamplingIndependentOfExecutors) {
             Palid(*fx.oracle, *fx.lsh, eight).SampleSeeds());
 }
 
+TEST(DeterminismTest, ColumnCacheNeverChangesDetections) {
+  // The oracle carries no kernel entries from one detection to the next: a
+  // run on an oracle that already served a full detection matches a run on
+  // a fresh oracle, and redoes the same kernel work instead of reusing it.
+  LabeledData data = Workload();
+  Fixture fresh(data);
+  Fixture served(data);
+  PalidOptions opts;
+  opts.num_executors = 4;
+  served.Detect(opts);
+  served.oracle->ResetCounters();
+  DetectionResult first = fresh.Detect(opts);
+  DetectionResult again = served.Detect(opts);
+  ExpectIdentical(first, again);
+  EXPECT_EQ(served.oracle->entries_computed(),
+            fresh.oracle->entries_computed());
+  EXPECT_EQ(served.oracle->cache_hits(), 0);
+
+  // And a run at a different executor count on the served oracle matches.
+  PalidOptions two;
+  two.num_executors = 2;
+  ExpectIdentical(first, served.Detect(two));
+}
+
 TEST(DeterminismTest, RepeatedRunsAreIdentical) {
   LabeledData data = Workload(300);
-  Fixture fx(data, /*cache=*/true);
+  Fixture fx(data);
   PalidOptions opts;
   opts.num_executors = 3;
-  // A warm cache (second run) must not perturb results either.
   DetectionResult r1 = fx.Detect(opts);
   DetectionResult r2 = fx.Detect(opts);
   ExpectIdentical(r1, r2);

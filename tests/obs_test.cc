@@ -458,15 +458,25 @@ TEST(TraceTest, ServeAnswersBitIdenticalTracingOnVsOff) {
   }
 }
 
-// ColumnCache::RegisterMetrics exposes the cache atomics as callback
-// gauges: values must track the live cache, not a registration-time copy.
+// The oracle's cache accessors feed the affinity.cache_* figures of the
+// end-to-end benchmark. Registered as callback gauges beside the entry
+// counter they must read the live oracle: entries advance with every
+// request, while the cache figures of the stateless oracle stay 0.
 TEST(MetricsTest, ColumnCacheGaugesTrackTheLiveCache) {
   LabeledData data = Workload(120, 3);
   TestPipeline pipeline(data);
+  const LazyAffinityOracle& oracle = *pipeline.oracle;
 
   MetricsRegistry registry;
-  ASSERT_NE(pipeline.oracle->column_cache(), nullptr);
-  pipeline.oracle->column_cache()->RegisterMetrics(&registry, "cache");
+  registry.AddCallbackGauge("cache_hits",
+                            [&oracle] { return oracle.cache_hits(); });
+  registry.AddCallbackGauge("cache_evictions",
+                            [&oracle] { return oracle.cache_evictions(); });
+  registry.AddCallbackGauge("cache_budget_bytes", [&oracle] {
+    return oracle.cache_budget_bytes();
+  });
+  registry.AddCallbackGauge("entries_computed",
+                            [&oracle] { return oracle.entries_computed(); });
 
   auto read = [&registry](const std::string& name) -> int64_t {
     for (const auto& sample : registry.Snapshot()) {
@@ -475,17 +485,21 @@ TEST(MetricsTest, ColumnCacheGaugesTrackTheLiveCache) {
     ADD_FAILURE() << "no gauge named " << name;
     return -1;
   };
-  EXPECT_EQ(read("cache_hits"), 0);
-  EXPECT_GT(read("cache_budget_bytes"), 0);
+  EXPECT_EQ(read("entries_computed"), 0);
+  EXPECT_EQ(read("cache_budget_bytes"), 0);
 
-  // Touch the oracle twice: the second pass hits the freshly cached rows.
+  // Touch the oracle twice: the second pass recomputes every entry.
+  int64_t requests = 0;
   for (int pass = 0; pass < 2; ++pass) {
     for (Index i = 0; i + 1 < data.size(); i += 2) {
       pipeline.oracle->Entry(i, i + 1);
+      ++requests;
     }
   }
-  EXPECT_GT(read("cache_hits"), 0);
-  EXPECT_GT(read("cache_bytes"), 0);
+  EXPECT_EQ(read("entries_computed"), requests);
+  EXPECT_EQ(read("cache_hits"), 0);
+  EXPECT_EQ(read("cache_evictions"), 0);
+  EXPECT_EQ(read("cache_budget_bytes"), 0);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Tests of the streaming runtime (windowed, batch-parallel OnlineAlid):
 // bit-identical stream state across executor counts and scheduling
-// disciplines, cache-on ≡ cache-off under interleaved insert/expiry, and the
-// streaming edge cases (empty window, duplicate inserts, remove-then-
-// reinsert, refresh-interval boundaries).
+// disciplines, and the streaming edge cases (empty window, duplicate
+// inserts, remove-then-reinsert, refresh-interval boundaries).
 #include <memory>
 #include <vector>
 
@@ -141,22 +140,39 @@ TEST(StreamTest, CacheOnEqualsCacheOffAfterInterleavedInsertRemove) {
   OnlineAlidOptions opts = Options(data);
   opts.window = 200;  // expiry interleaves with absorption and refreshes
   ThreadPool pool(4);
-  opts.pool = &pool;
+  OnlineAlidOptions pooled = opts;
+  pooled.pool = &pool;
 
-  OnlineAlidOptions cached = opts;
-  cached.column_cache = true;
-  OnlineAlidOptions stateless = opts;
-  stateless.column_cache = false;
-
-  std::unique_ptr<OnlineAlid> with = RunStream(data, cached, 29);
-  std::unique_ptr<OnlineAlid> without = RunStream(data, stateless, 29);
-  // The cache engaged and expiry invalidated entries — otherwise this test
-  // proves nothing about stale-value hygiene.
-  EXPECT_GT(with->oracle().cache_hits(), 0);
-  EXPECT_GT(with->stats().cache_entries_invalidated, 0);
-  EXPECT_EQ(without->stats().cache_entries_invalidated, 0);
+  std::unique_ptr<OnlineAlid> with = RunStream(data, pooled, 29);
+  std::unique_ptr<OnlineAlid> without = RunStream(data, opts, 29);
+  // Expired slots were re-used — otherwise this test proves nothing about
+  // stale affinities.
+  const Dataset& slots = with->oracle().data();
+  ASSERT_GT(with->stats().evicted, 0);
+  ASSERT_LT(slots.size(), data.size());
   ExpectIdenticalStreams(*with, *without);
   ExpectIdenticalSlots(*with, *without, opts.window + 29);
+
+  // The oracle that served the whole stream answers exactly like a fresh
+  // oracle over the slots' current rows: nothing of an expired occupant
+  // survives, because the oracle keeps no entries.
+  EXPECT_EQ(with->oracle().cache_hits(), 0);
+  IndexList live;
+  for (Index i = 0; i < slots.size(); ++i) {
+    if (with->IsAlive(i)) live.push_back(i);
+  }
+  const Dataset current = slots.Subset(live);
+  const AffinityFunction affinity(opts.affinity);
+  const LazyAffinityOracle fresh(current, affinity);
+  IndexList positions(live.size());
+  for (size_t r = 0; r < live.size(); ++r) {
+    positions[r] = static_cast<Index>(r);
+  }
+  for (size_t c = 0; c < live.size(); c += 7) {
+    EXPECT_EQ(with->oracle().Column(live, live[c]),
+              fresh.Column(positions, static_cast<Index>(c)))
+        << "slot " << live[c];
+  }
 }
 
 TEST(StreamTest, SlidingWindowBoundsAliveAndReleasesExpired) {
@@ -276,7 +292,7 @@ TEST(StreamTest, RemoveThenReinsertReusesTheSlot) {
   }
   ASSERT_GE(free_slot, 0) << "one expired slot should be free";
   // The next arrival — a *different* point — re-uses that slot, and queries
-  // against it are fresh (no stale identity, no stale cached affinities).
+  // against it are fresh (no stale identity).
   const Index slot = online.Insert(data.data[100]);
   EXPECT_EQ(slot, free_slot);
   EXPECT_TRUE(online.IsAlive(slot));

@@ -1,8 +1,9 @@
 // Randomized (seeded) property stress tests for the parallel runtime and the
-// default-on column cache:
-//  - the cache may never change an ALID or PALID detection — cached kernel
-//    entries are bit-identical to recomputation, so cache-on and cache-off
-//    runs must agree exactly across randomized workloads;
+// stateless oracle:
+//  - the vector kernels may never change an ALID or PALID detection — the
+//    oracle's gathered columns are bit-identical under every SIMD ISA, so a
+//    run on the active ISA and a run pinned to the scalar kernels must agree
+//    exactly (entry counts included) across randomized workloads;
 //  - the parallel k-means reduction must preserve Lloyd's invariant: the SSE
 //    recorded after each assignment sweep is monotonically non-increasing.
 // Every draw derives from a fixed master seed, so failures replay exactly.
@@ -17,6 +18,7 @@
 #include "common/thread_pool.h"
 #include "core/palid.h"
 #include "data/synthetic.h"
+#include "simd/simd_dispatch.h"
 #include "test_util.h"
 
 namespace alid {
@@ -43,16 +45,17 @@ TEST(StressTest, AlidIdenticalWithAndWithoutCacheOnRandomWorkloads) {
   for (int trial = 0; trial < 4; ++trial) {
     SCOPED_TRACE(::testing::Message() << "trial " << trial);
     LabeledData data = RandomWorkload(rng);
-    Pipeline cached(data, /*cache=*/true);
-    Pipeline plain(data, /*cache=*/false);
-    DetectionResult with_cache =
-        AlidDetector(*cached.oracle, *cached.lsh, {}).DetectAll();
-    DetectionResult without_cache =
-        AlidDetector(*plain.oracle, *plain.lsh, {}).DetectAll();
-    ExpectIdenticalDetections(without_cache, with_cache);
-    // The runs did differ in reuse, not in results.
-    EXPECT_EQ(plain.oracle->cache_hits(), 0);
-    EXPECT_LE(cached.oracle->entries_computed(),
+    Pipeline vector(data);
+    Pipeline plain(data);
+    DetectionResult on_vector =
+        AlidDetector(*vector.oracle, *vector.lsh, {}).DetectAll();
+    DetectionResult on_scalar;
+    {
+      ScopedSimdIsaOverride scalar(SimdIsa::kScalar);
+      on_scalar = AlidDetector(*plain.oracle, *plain.lsh, {}).DetectAll();
+    }
+    ExpectIdenticalDetections(on_scalar, on_vector);
+    EXPECT_EQ(vector.oracle->entries_computed(),
               plain.oracle->entries_computed());
   }
 }
@@ -62,22 +65,27 @@ TEST(StressTest, PalidIdenticalWithAndWithoutCacheOnRandomWorkloads) {
   for (int trial = 0; trial < 3; ++trial) {
     SCOPED_TRACE(::testing::Message() << "trial " << trial);
     LabeledData data = RandomWorkload(rng);
-    Pipeline cached(data, /*cache=*/true);
-    Pipeline plain(data, /*cache=*/false);
+    Pipeline vector(data);
+    Pipeline plain(data);
     PalidOptions opts;
     opts.num_executors = static_cast<int>(rng.UniformInt(2, 6));
-    DetectionResult with_cache =
-        Palid(*cached.oracle, *cached.lsh, opts).Detect();
-    DetectionResult without_cache =
-        Palid(*plain.oracle, *plain.lsh, opts).Detect();
-    ExpectIdenticalDetections(without_cache, with_cache);
+    DetectionResult on_vector =
+        Palid(*vector.oracle, *vector.lsh, opts).Detect();
+    DetectionResult on_scalar;
+    {
+      ScopedSimdIsaOverride scalar(SimdIsa::kScalar);
+      on_scalar = Palid(*plain.oracle, *plain.lsh, opts).Detect();
+    }
+    ExpectIdenticalDetections(on_scalar, on_vector);
+    EXPECT_EQ(vector.oracle->entries_computed(),
+              plain.oracle->entries_computed());
   }
 }
 
 TEST(StressTest, PalidOnSharedExternalPoolMatchesOwnedPool) {
   Rng rng(kMasterSeed + 2);
   LabeledData data = RandomWorkload(rng);
-  Pipeline p(data, /*cache=*/true);
+  Pipeline p(data);
   PalidOptions owned;
   owned.num_executors = 4;
   DetectionResult reference = Palid(*p.oracle, *p.lsh, owned).Detect();
@@ -88,7 +96,7 @@ TEST(StressTest, PalidOnSharedExternalPoolMatchesOwnedPool) {
   DetectionResult on_shared =
       Palid(*p.oracle, *p.lsh, external).Detect(&stats);
   ExpectIdenticalDetections(reference, on_shared);
-  EXPECT_GT(stats.cache_budget_bytes, 0);
+  EXPECT_GT(stats.entries_computed, 0);
 }
 
 TEST(StressTest, KMeansObjectiveMonotoneUnderParallelReduction) {

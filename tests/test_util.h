@@ -15,15 +15,12 @@
 namespace alid {
 
 /// The standard oracle + LSH pipeline the integration/determinism/stress
-/// tests run ALID and PALID through. The oracle's column cache is default-on;
-/// cache=false restores the paper-faithful stateless oracle for
-/// cached-vs-uncached comparisons.
+/// tests run ALID and PALID through.
 struct TestPipeline {
-  explicit TestPipeline(const LabeledData& labeled, bool cache = true) {
+  explicit TestPipeline(const LabeledData& labeled) {
     affinity = std::make_unique<AffinityFunction>(
         AffinityParams{.k = labeled.suggested_k, .p = 2.0});
     oracle = std::make_unique<LazyAffinityOracle>(labeled.data, *affinity);
-    if (!cache) oracle->DisableColumnCache();
     LshParams lp;
     lp.num_tables = 8;
     lp.num_projections = 6;
