@@ -11,8 +11,8 @@
 //                        rows_reused collapses in a storm because almost
 //                        every cluster changed between publishes.
 //   scenario_heavy_tail  Zipf cluster sizes; the interesting columns are
-//                        sketch_prunes vs sketch_exact (the head cluster's
-//                        support saturates absorb scoring).
+//                        items_per_second and redetections (the head
+//                        cluster's support dominates absorb scoring).
 //
 // Each scenario sweeps executors {1, 8} (1 = the serial no-pool path, the
 // same baseline convention as the fig7/stream sweeps), streams the identical
@@ -51,8 +51,6 @@ struct ScenarioRun {
   int64_t redetections = 0;
   int64_t clusters_born = 0;
   int64_t clusters_dissolved = 0;
-  int64_t sketch_prunes = 0;
-  int64_t sketch_exact = 0;
   int64_t rows_reused = 0;
   int64_t clusters_reused = 0;
   int64_t steals = 0;
@@ -123,8 +121,6 @@ ScenarioRun StreamScenario(const ScenarioSpec& spec, int executors) {
   run.redetections = stats.redetections;
   run.clusters_born = stats.clusters_born;
   run.clusters_dissolved = stats.clusters_dissolved;
-  run.sketch_prunes = stats.sketch_prunes;
-  run.sketch_exact = stats.sketch_exact;
   run.steals = pool != nullptr ? pool->steal_count() : 0;
   run.clusters = static_cast<int>(online.clusters().size());
   return run;
@@ -139,7 +135,6 @@ void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
           "\"absorbed\":%lld,\"pooled\":%lld,\"evicted\":%lld,"
           "\"refreshes\":%lld,\"redetections\":%lld,"
           "\"clusters_born\":%lld,\"clusters_dissolved\":%lld,"
-          "\"sketch_prunes\":%lld,\"sketch_exact\":%lld,"
           "\"rows_reused\":%lld,\"clusters_reused\":%lld,"
           "\"steals\":%lld,\"clusters\":%d}",
           first ? "" : ",", r.executors, r.wall_seconds, r.speedup,
@@ -153,8 +148,6 @@ void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
           static_cast<long long>(r.redetections),
           static_cast<long long>(r.clusters_born),
           static_cast<long long>(r.clusters_dissolved),
-          static_cast<long long>(r.sketch_prunes),
-          static_cast<long long>(r.sketch_exact),
           static_cast<long long>(r.rows_reused),
           static_cast<long long>(r.clusters_reused),
           static_cast<long long>(r.steals), r.clusters);
@@ -162,13 +155,12 @@ void AppendRunRow(std::string& json, const ScenarioRun& r, bool first) {
 
 void PrintRun(const ScenarioRun& r) {
   std::printf("  execs %-2d  wall %.3fs (x%.2f)  items/s %8.1f  "
-              "born %-4lld dissolved %-4lld redetect %-4lld  prunes %-6lld "
+              "born %-4lld dissolved %-4lld redetect %-4lld  "
               "rows_reused %-6lld  clusters %d\n",
               r.executors, r.wall_seconds, r.speedup, r.items_per_second,
               static_cast<long long>(r.clusters_born),
               static_cast<long long>(r.clusters_dissolved),
               static_cast<long long>(r.redetections),
-              static_cast<long long>(r.sketch_prunes),
               static_cast<long long>(r.rows_reused), r.clusters);
 }
 

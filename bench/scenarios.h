@@ -15,8 +15,8 @@
 //                 brand-new clusters) and incremental publish (rows_reused
 //                 collapses in birth storms).
 //   heavy_tail  — Zipf cluster membership: one giant head cluster, a long
-//                 tail of rare ones; stresses support-sketch prune rates
-//                 (the head's support saturates the scoring path).
+//                 tail of rare ones; stresses exact absorb scoring and
+//                 re-detection (the head's support saturates both).
 //
 // Every generator is a pure function of (config, batch_index): batch k can
 // be produced without batches 0..k-1 and in any order, and the same

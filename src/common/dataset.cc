@@ -103,4 +103,9 @@ Scalar Dot(std::span<const Scalar> a, std::span<const Scalar> b) {
   return s;
 }
 
+bool AllFinite(std::span<const Scalar> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](Scalar x) { return std::isfinite(x); });
+}
+
 }  // namespace alid

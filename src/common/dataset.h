@@ -92,6 +92,10 @@ Scalar SquaredL2(std::span<const Scalar> a, std::span<const Scalar> b);
 /// Dot product of two equal-length vectors.
 Scalar Dot(std::span<const Scalar> a, std::span<const Scalar> b);
 
+/// True iff every value is finite (no NaN, no infinity) — the input contract
+/// of every point that enters a stream or a query.
+bool AllFinite(std::span<const Scalar> values);
+
 }  // namespace alid
 
 #endif  // ALID_COMMON_DATASET_H_

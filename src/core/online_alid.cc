@@ -14,13 +14,6 @@
 
 namespace alid {
 
-// The tiled branch-and-bound walk hands the kernel callback one
-// checkpoint group at a time; one SoA tile must be exactly one group or
-// the vector walk would check bounds at different prefix positions than
-// the scalar walk and the prune decisions could diverge.
-static_assert(kSimdTileLanes == kSketchBoundStride,
-              "one SoA tile must cover exactly one bound-checkpoint group");
-
 std::vector<int> StreamStats::LatencyHistogram(int bins) const {
   return EqualWidthHistogram(batch_seconds, bins);
 }
@@ -47,8 +40,6 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   metrics_.refreshes = registry.AddCounter("refreshes");
   metrics_.clusters_born = registry.AddCounter("clusters_born");
   metrics_.clusters_dissolved = registry.AddCounter("clusters_dissolved");
-  metrics_.sketch_prunes = registry.AddCounter("sketch_prunes");
-  metrics_.sketch_exact = registry.AddCounter("sketch_exact");
   metrics_.refresh_rounds = registry.AddCounter("refresh_rounds");
   metrics_.refresh_speculations = registry.AddCounter("refresh_speculations");
   metrics_.refresh_conflicts = registry.AddCounter("refresh_conflicts");
@@ -77,8 +68,6 @@ StreamStats OnlineAlid::stats() const {
   s.refreshes = metrics_.refreshes->value();
   s.clusters_born = metrics_.clusters_born->value();
   s.clusters_dissolved = metrics_.clusters_dissolved->value();
-  s.sketch_prunes = metrics_.sketch_prunes->value();
-  s.sketch_exact = metrics_.sketch_exact->value();
   s.refresh_rounds = metrics_.refresh_rounds->value();
   s.refresh_speculations = metrics_.refresh_speculations->value();
   s.refresh_conflicts = metrics_.refresh_conflicts->value();
@@ -96,6 +85,9 @@ Index OnlineAlid::Insert(std::span<const Scalar> point) {
 std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   const int dim = data_.dim();
   ALID_CHECK(dim > 0 && points.size() % static_cast<size_t>(dim) == 0);
+  // Non-finite coordinates have no place in Eq. 1 and would reach the LSH
+  // floor-to-int key cast; the stream rejects them at the door.
+  ALID_CHECK(AllFinite(points));
   const Index count = static_cast<Index>(points.size() / dim);
   std::vector<Index> slots(count);
   if (count == 0) return slots;
@@ -144,7 +136,7 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   // against the batch-start clusters. Same-batch neighbours are already in
   // the LSH buckets but still unassigned, so the candidate sets — like the
   // scores — depend only on the batch boundary, never on the executors.
-  std::vector<Choice> choices(count);
+  std::vector<int> choices(count);
   {
     ALID_TRACE_SCOPE("stream", "absorb_score");
     ParallelChunks(options_.pool, 0, count, options_.grain,
@@ -158,14 +150,10 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
 
   // Phase 5 (serial): apply in arrival order. Clusters mutate here, so the
   // snapshot versions tell ApplyArrival which precomputed choices are stale.
-  // The sketch-filter counters of the parallel phase fold in here too, in
-  // arrival order, so the stats are executor-independent like the state.
   {
     ALID_TRACE_SCOPE("stream", "apply");
     const std::vector<uint64_t> versions = cluster_version_;
     for (Index k = 0; k < count; ++k) {
-      metrics_.sketch_prunes->Add(choices[k].sketch_prunes);
-      metrics_.sketch_exact->Add(choices[k].sketch_exact);
       ApplyArrival(slots[k], choices[k], versions);
     }
   }
@@ -181,10 +169,9 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
     ALID_TRACE_SCOPE("stream", "compact");
     CompactClusters();
   }
-  // Sketches of mutated clusters are rebuilt at batch end — the next
-  // batch's parallel scoring phase and any between-batch snapshot export
-  // read only fresh ones.
-  RefreshSketches();
+  // Tiles of mutated clusters are rebuilt at batch end — the next batch's
+  // parallel scoring phase reads only fresh ones.
+  RefreshTiles();
   metrics_.alive->Set(alive());
   metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
   metrics_.batch_seconds.Record(timer.Seconds());
@@ -208,8 +195,8 @@ Index OnlineAlid::AllocateSlot(std::span<const Scalar> point) {
   return slot;
 }
 
-OnlineAlid::Choice OnlineAlid::ScoreArrival(Index slot) const {
-  Choice best;
+int OnlineAlid::ScoreArrival(Index slot) const {
+  int best = -1;
   if (clusters_.empty()) return best;
   // Candidates are the clusters of the newcomer's LSH neighbours.
   std::vector<uint8_t> candidate(clusters_.size(), 0);
@@ -217,7 +204,6 @@ OnlineAlid::Choice OnlineAlid::ScoreArrival(Index slot) const {
     if (assignment_[j] >= 0) candidate[assignment_[j]] = 1;
   }
   const SimdKernelOps& ops = *ActiveSimdOps();
-  const double p = options_.affinity.p;
   const Scalar* query = data_[slot].data();
   Scalar best_margin = -std::numeric_limits<Scalar>::infinity();
   for (size_t c = 0; c < clusters_.size(); ++c) {
@@ -226,54 +212,14 @@ OnlineAlid::Choice OnlineAlid::ScoreArrival(Index slot) const {
     // Absorb when (near-)infective: same-cluster arrivals sit at the density
     // (Theorem 1 equality on the support), hence the slack.
     const Scalar threshold = cl.density * (1.0 - options_.absorb_slack);
-    const SupportSketch& sketch = sketches_[c];
-    // The vector path needs fresh tiles (same protocol as the sketch) and a
-    // tile kernel for the configured norm. Either way the arithmetic below
-    // is bit-identical — the tiles reproduce the oracle's member-order
-    // accumulation exactly — so this is a speed choice, never a result
-    // choice. The newcomer is unassigned, so no member equals `slot` and
-    // the oracle's a_ii = 0 diagonal can never be hit here.
+    // The vector path needs fresh tiles and a tile kernel for the
+    // configured norm. Either way the sum is bit-identical — the tiles
+    // reproduce the oracle's member-order accumulation exactly — so this is
+    // a speed choice, never a result choice. The newcomer is unassigned, so
+    // no member equals `slot` and the oracle's a_ii = 0 diagonal can never
+    // be hit here.
     const bool tiles_fresh =
         simd_norm_ && tiles_[c].built_version == cluster_version_[c];
-    if (sketch.engaged() && sketch.built_version == cluster_version_[c]) {
-      // Branch-and-bound filter (SketchBoundRejects[Tiled] — one walk
-      // shared with the serving layer, so both sides take bit-identical
-      // prune decisions): a rejected candidate provably cannot clear the
-      // absorb threshold or beat the incumbent's exact margin, so its
-      // full-support scoring is skipped; anything else — inconclusive walk
-      // or give-up — falls through to the unchanged exact summation below.
-      // Both exits are pure functions of the sketch and the arrival, hence
-      // executor-independent.
-      bool rejected;
-      if (tiles_fresh) {
-        // One SoA tile per checkpoint group (kSimdTileLanes ==
-        // kSketchBoundStride), so t0 always lands on a tile boundary.
-        rejected = SketchBoundRejectsTiled(
-            std::span<const Scalar>(sketch.weights),
-            std::span<const Scalar>(sketch.rest_weights), threshold,
-            best_margin, [&](size_t t0, size_t n, Scalar* out) {
-              Scalar dists[kSimdTileLanes];
-              TileDistances(ops, tiles_[c].prefix,
-                            static_cast<Index>(t0 / kSimdTileLanes), query, p,
-                            dists);
-              for (size_t i = 0; i < n; ++i) {
-                out[i] = affinity_fn_.FromDistance(dists[i]);
-              }
-            });
-      } else {
-        rejected = SketchBoundRejects(
-            std::span<const Scalar>(sketch.weights),
-            std::span<const Scalar>(sketch.rest_weights), threshold,
-            best_margin, [&](size_t t) {
-              return oracle_->Entry(cl.members[sketch.ordinals[t]], slot);
-            });
-      }
-      if (rejected) {
-        ++best.sketch_prunes;
-        continue;
-      }
-      ++best.sketch_exact;
-    }
     const Scalar affinity =
         tiles_fresh ? SoaWeightedKernelSum(ops, tiles_[c].members, cl.weights,
                                            affinity_fn_, query)
@@ -281,7 +227,7 @@ OnlineAlid::Choice OnlineAlid::ScoreArrival(Index slot) const {
     const Scalar margin = affinity - threshold;
     if (margin > 0.0 && margin > best_margin) {
       best_margin = margin;
-      best.cluster = static_cast<int>(c);
+      best = static_cast<int>(c);
     }
   }
   return best;
@@ -295,7 +241,7 @@ Scalar OnlineAlid::ClusterAffinity(const Cluster& cluster, Index slot) const {
   return aff;
 }
 
-void OnlineAlid::ApplyArrival(Index slot, const Choice& choice,
+void OnlineAlid::ApplyArrival(Index slot, int target,
                               const std::vector<uint64_t>& versions) {
   metrics_.arrivals->Add(1);
   if (assignment_[slot] >= 0) {
@@ -305,7 +251,6 @@ void OnlineAlid::ApplyArrival(Index slot, const Choice& choice,
     // would seed inside a cluster the arrival may no longer target.
     metrics_.absorbed->Add(1);
   } else {
-    int target = choice.cluster;
     if (target >= 0) {
       if (cluster_dead_[target] != 0) {
         target = -1;  // dissolved earlier in this batch
@@ -341,46 +286,28 @@ void OnlineAlid::ApplyArrival(Index slot, const Choice& choice,
 void OnlineAlid::Refresh() {
   DetectFromPool();
   CompactClusters();
-  RefreshSketches();
+  RefreshTiles();
   since_refresh_ = 0;
   metrics_.refreshes->Add(1);
   metrics_.alive->Set(alive());
   metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
 }
 
-void OnlineAlid::RefreshSketches() {
-  ALID_TRACE_SCOPE("stream", "sketch_rebuild");
-  // Pure per cluster (weights in, sketch out; member rows in, tiles out),
-  // so the sweep chunks on the shared pool like every other parallel phase;
-  // only clusters whose version moved rebuild, so the cost is O(changed),
-  // not O(clusters). The scoring tiles follow the sketch's freshness
-  // protocol exactly: between batches every cluster's tiles are fresh, so
-  // the next parallel scoring phase runs the vector path throughout.
+void OnlineAlid::RefreshTiles() {
+  if (!simd_norm_) return;
+  ALID_TRACE_SCOPE("stream", "tile_rebuild");
+  // Pure per cluster (member rows in, tiles out), so the sweep chunks on
+  // the shared pool like every other parallel phase; only clusters whose
+  // version moved rebuild, so the cost is O(changed), not O(clusters).
+  // Between batches every cluster's tiles are fresh, so the next parallel
+  // scoring phase runs the vector path throughout.
   ParallelChunks(
       options_.pool, 0, static_cast<int64_t>(clusters_.size()),
       options_.grain, [&](int64_t, int64_t lo, int64_t hi) {
         for (int64_t c = lo; c < hi; ++c) {
-          if (sketches_[c].built_version != cluster_version_[c]) {
-            sketches_[c] =
-                BuildSupportSketch(clusters_[c].weights, options_.sketch);
-            sketches_[c].built_version = cluster_version_[c];
-          }
-          if (!simd_norm_ ||
-              tiles_[c].built_version == cluster_version_[c]) {
-            continue;
-          }
           ClusterTiles& tiles = tiles_[c];
+          if (tiles.built_version == cluster_version_[c]) continue;
           tiles.members.GatherRows(data_, clusters_[c].members);
-          const SupportSketch& sketch = sketches_[c];
-          if (sketch.engaged()) {
-            std::vector<Index> prefix_items(sketch.ordinals.size());
-            for (size_t t = 0; t < sketch.ordinals.size(); ++t) {
-              prefix_items[t] = clusters_[c].members[sketch.ordinals[t]];
-            }
-            tiles.prefix.GatherRows(data_, prefix_items);
-          } else {
-            tiles.prefix = SoaBlock();
-          }
           tiles.built_version = cluster_version_[c];
         }
       });
@@ -555,7 +482,6 @@ void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
   cluster_version_.push_back(0);
   cluster_dead_.push_back(0);
   cluster_uid_.push_back(next_cluster_uid_++);
-  sketches_.emplace_back();
   tiles_.emplace_back();
   Assign(static_cast<int>(clusters_.size()) - 1);
   metrics_.clusters_born->Add(1);
@@ -632,7 +558,6 @@ void OnlineAlid::CompactClusters() {
   std::vector<Cluster> kept;
   std::vector<uint64_t> kept_versions;
   std::vector<uint64_t> kept_uids;
-  std::vector<SupportSketch> kept_sketches;
   std::vector<ClusterTiles> kept_tiles;
   kept.reserve(clusters_.size());
   for (size_t c = 0; c < clusters_.size(); ++c) {
@@ -641,13 +566,11 @@ void OnlineAlid::CompactClusters() {
     kept.push_back(std::move(clusters_[c]));
     kept_versions.push_back(cluster_version_[c]);
     kept_uids.push_back(cluster_uid_[c]);
-    kept_sketches.push_back(std::move(sketches_[c]));
     kept_tiles.push_back(std::move(tiles_[c]));
   }
   clusters_ = std::move(kept);
   cluster_version_ = std::move(kept_versions);
   cluster_uid_ = std::move(kept_uids);
-  sketches_ = std::move(kept_sketches);
   tiles_ = std::move(kept_tiles);
   cluster_dead_.assign(clusters_.size(), 0);
   for (int& a : assignment_) {

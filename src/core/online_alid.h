@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/alid.h"
-#include "core/support_sketch.h"
 #include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
 #include "simd/soa_block.h"
@@ -50,15 +49,6 @@ struct OnlineAlidOptions {
   ThreadPool* pool = nullptr;
   /// Chunk grain of the parallel phases (see DeterministicGrain); 0 auto.
   int64_t grain = 0;
-  /// Per-cluster support-sketch sizing. The sketch is a branch-and-bound
-  /// filter in front of exact absorb scoring: with a bounded kernel, any
-  /// scored prefix of the top-weight members plus the remaining weight
-  /// upper-bounds pi(s_j, x), so most candidate clusters are rejected
-  /// after a few kernel evaluations instead of a full-support scan — and
-  /// since an inconclusive bound falls back to the unchanged exact
-  /// summation, the streamed state is bit-identical with the sketch on or
-  /// off (prefix_mass <= 0 disables it).
-  SupportSketchParams sketch;
   /// Maximum number of pool seeds the refresh pass detects speculatively
   /// per map round (PALID's seed-chunk map stage over the unassigned pool).
   /// The frontier ramps 1 -> 2 -> ... -> this cap while rounds stay
@@ -83,12 +73,10 @@ struct StreamStats {
   int64_t refreshes = 0;     ///< Maintenance passes over the pool.
   int64_t clusters_born = 0;
   int64_t clusters_dissolved = 0;
-  /// Candidate clusters rejected by the support-sketch upper bound during
-  /// absorb scoring — exact work the branch-and-bound filter skipped.
+  /// Always 0. Absorb scoring is the exact Theorem-1 sum over every
+  /// candidate's support; these fields stay only for readers that still
+  /// print them and will be removed.
   int64_t sketch_prunes = 0;
-  /// Sketch-engaged candidates whose bound was inconclusive and fell back
-  /// to the exact full-support scoring (the bits of which the sketch never
-  /// changes).
   int64_t sketch_exact = 0;
   /// Map rounds of the refresh pass's frontier scheme.
   int64_t refresh_rounds = 0;
@@ -120,12 +108,10 @@ struct StreamStats {
 /// slots are re-used smallest-first) and hashed into the growing LSH index —
 /// the hashing and the Theorem-1 absorb scoring run chunked on the shared
 /// pool, both pure against the batch-start state, so the streamed state is
-/// bit-identical for every executor count. Absorb scoring consults each
-/// candidate cluster's support sketch first: the top-weight prefix plus the
-/// tail-weight bound rejects most candidates without touching the full
-/// support, and an inconclusive bound falls back to the unchanged exact
-/// summation — an exact optimization, never an approximation. Absorptions
-/// then apply serially in arrival order: an arrival whose chosen cluster
+/// bit-identical for every executor count. Absorb scoring sums pi(s_j, x)
+/// exactly over every candidate cluster's support (Theorem 1), through the
+/// cluster's SIMD tiles when the norm has a tile kernel. Absorptions then
+/// apply serially in arrival order: an arrival whose chosen cluster
 /// was mutated earlier in the same batch is re-scored against the cluster's
 /// current state before a *local* re-detection absorbs it. Arrivals
 /// matching nothing join the unassigned pool; every `refresh_interval`
@@ -199,13 +185,6 @@ class OnlineAlid {
     return cluster_version_[static_cast<size_t>(c)];
   }
 
-  /// The support sketch of cluster `c`. Fresh (built_version ==
-  /// cluster_version) for every cluster between batches, so snapshot
-  /// exports lift it instead of rebuilding.
-  const SupportSketch& cluster_sketch(int c) const {
-    return sketches_[static_cast<size_t>(c)];
-  }
-
   /// Stream observability — the streaming counterpart of PalidStats. A
   /// consistent by-value view materialized from the registry (binding it to
   /// a const reference still works — lifetime extension — but the copy no
@@ -222,38 +201,28 @@ class OnlineAlid {
 
  private:
   // Dimension-major member tiles of one cluster — the vector-kernel mirror
-  // of (members, weights) and of the sketch prefix, versioned exactly like
-  // the sketch: `built` must equal the cluster's mutation counter or the
-  // tiles must not be consulted (the scoring falls back to the oracle path,
-  // which is bit-identical anyway). Rebuilt alongside the sketches at batch
-  // end, so the parallel scoring phase only ever reads fresh tiles.
+  // of (members, weights). `built_version` must equal the cluster's
+  // mutation counter or the tiles must not be consulted (the scoring falls
+  // back to the oracle path, which is bit-identical anyway). Rebuilt at
+  // batch end, so the parallel scoring phase only ever reads fresh tiles.
   struct ClusterTiles {
+    static constexpr uint64_t kUnbuilt = ~uint64_t{0};
     SoaBlock members;  // member rows, in member order
-    SoaBlock prefix;   // sketch-prefix rows, in sketch (descending-weight)
-                       // order; empty when the sketch is disengaged
-    uint64_t built_version = SupportSketch::kUnbuilt;
-  };
-
-  // Absorb decision of one arrival: the target cluster (-1 = pool) plus the
-  // sketch-filter activity of the scoring (accumulated serially into
-  // StreamStats after the parallel phase). The deciding margin is
-  // recomputed on the apply path whenever the target mutated, so only the
-  // choice itself is carried across the phases.
-  struct Choice {
-    int cluster = -1;
-    int32_t sketch_prunes = 0;
-    int32_t sketch_exact = 0;
+    uint64_t built_version = kUnbuilt;
   };
 
   // Writes the point into a re-used or appended slot (serial phase).
   Index AllocateSlot(std::span<const Scalar> point);
-  // Pure Theorem-1 scoring of one arrival against the current clusters.
-  Choice ScoreArrival(Index slot) const;
+  // Pure Theorem-1 scoring of one arrival against the current clusters:
+  // the target cluster id, or -1 for the pool. The deciding margin is
+  // recomputed on the apply path whenever the target mutated, so only the
+  // choice itself is carried across the phases.
+  int ScoreArrival(Index slot) const;
   // pi(s_j, x) of the newcomer against one cluster's weighted support.
   Scalar ClusterAffinity(const Cluster& cluster, Index slot) const;
   // Serial per-arrival apply: absorb (re-scoring if the chosen cluster
   // mutated earlier in the batch, per `versions`) and refresh bookkeeping.
-  void ApplyArrival(Index slot, const Choice& choice,
+  void ApplyArrival(Index slot, int target,
                     const std::vector<uint64_t>& versions);
   // Re-runs Algorithm 2 from a seed and installs/updates a cluster.
   void RedetectCluster(int cluster_id, Index seed);
@@ -266,9 +235,9 @@ class OnlineAlid {
   // says so, otherwise install as a new cluster.
   void InstallPoolCluster(Cluster cluster, const AlidDetector& detector,
                           std::vector<bool>& exclude);
-  // Rebuilds the sketch of every cluster whose version moved (end of every
-  // batch / refresh, so scoring and exports always see fresh sketches).
-  void RefreshSketches();
+  // Rebuilds the tiles of every cluster whose version moved (end of every
+  // batch / refresh, so scoring always sees fresh tiles).
+  void RefreshTiles();
   void Assign(int cluster_id);
   // Expires the oldest items down to the window and repairs the clusters
   // they were peeled out of.
@@ -294,14 +263,10 @@ class OnlineAlid {
   // id compaction — what snapshot generations match clusters by.
   std::vector<uint64_t> cluster_uid_;
   uint64_t next_cluster_uid_ = 1;
-  // Support sketches parallel to clusters_, rebuilt for mutated clusters at
-  // the end of every batch (so the parallel scoring phase and FromStream
-  // exports only ever read fresh ones).
-  std::vector<SupportSketch> sketches_;
-  // SIMD scoring tiles parallel to clusters_, maintained under the same
-  // freshness protocol as sketches_. Never built when the configured norm
-  // has no tile kernel (simd_norm_ below), in which case scoring stays on
-  // the row-major oracle path everywhere.
+  // SIMD scoring tiles parallel to clusters_, rebuilt for mutated clusters
+  // at the end of every batch. Never built when the configured norm has no
+  // tile kernel (simd_norm_ below), in which case scoring stays on the
+  // row-major oracle path everywhere.
   std::vector<ClusterTiles> tiles_;
   // SimdSupportsNorm(options_.affinity.p), resolved once at construction.
   bool simd_norm_ = false;
@@ -330,8 +295,6 @@ class OnlineAlid {
     obs::Counter* refreshes = nullptr;
     obs::Counter* clusters_born = nullptr;
     obs::Counter* clusters_dissolved = nullptr;
-    obs::Counter* sketch_prunes = nullptr;
-    obs::Counter* sketch_exact = nullptr;
     obs::Counter* refresh_rounds = nullptr;
     obs::Counter* refresh_speculations = nullptr;
     obs::Counter* refresh_conflicts = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -24,6 +25,16 @@ uint64_t FoldFloor(uint64_t h, int32_t value) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+// The int32 bucket of a floor value, saturated to the int32 range (NaN maps
+// to 0): a float-to-int cast of a value outside the target range is
+// undefined behaviour. In-range floors convert exactly as a plain cast does.
+int32_t SaturatedBucket(Scalar floor_value) {
+  constexpr Scalar kLo = std::numeric_limits<int32_t>::min();
+  constexpr Scalar kHi = std::numeric_limits<int32_t>::max();
+  if (std::isnan(floor_value)) return 0;
+  return static_cast<int32_t>(std::clamp(floor_value, kLo, kHi));
 }
 
 }  // namespace
@@ -175,7 +186,7 @@ uint64_t LshIndex::HashPoint(const Table& table,
     for (int k = 0; k < d; ++k) dot += proj[k] * point[k];
     const Scalar bucket =
         std::floor((dot + table.offsets[p]) / params_.segment_length);
-    h = FoldFloor(h, static_cast<int32_t>(bucket));
+    h = FoldFloor(h, SaturatedBucket(bucket));
   }
   return h;
 }

@@ -157,6 +157,15 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
   ALID_CHECK(request.top_k >= 0);
   const Index count = static_cast<Index>(request.points.size() / dim_);
   QueryResponse response;
+  if (!AllFinite(request.points)) {
+    response.status = QueryStatus::kInvalidInput;
+    if (request.top_k > 0) {
+      response.ranked.resize(static_cast<size_t>(count));
+    } else {
+      response.assignments.resize(static_cast<size_t>(count));
+    }
+    return response;
+  }
   WallTimer timer;
   ALID_TRACE_SCOPE("serve", "query");
   // One acquire for the whole request: every point of the call is answered
@@ -210,17 +219,12 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
           // streams each cluster's SoA tiles across the whole block of
           // queries, and every outcome stays bit-identical to a per-query
           // Assign (see ClusterSnapshot::AssignBatch).
-          std::vector<AssignOutcome> outcomes(static_cast<size_t>(hi - lo));
           snap->AssignBatch(
               request.points.subspan(static_cast<size_t>(lo) * dim_,
                                      static_cast<size_t>(hi - lo) * dim_),
-              outcomes);
-          for (int64_t k = lo; k < hi; ++k) {
-            const AssignOutcome& outcome = outcomes[k - lo];
-            // Relaxed atomics, so chunks record straight from pool workers.
-            stats_.RecordSketch(outcome.sketch_prunes, outcome.sketch_exact);
-            response.assignments[k] = outcome;
-          }
+              std::span<QueryOutcome>(response.assignments)
+                  .subspan(static_cast<size_t>(lo),
+                           static_cast<size_t>(hi - lo)));
         });
   }
   int64_t assigned = 0;

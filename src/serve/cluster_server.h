@@ -38,14 +38,6 @@ struct ClusterServerOptions {
   int64_t history_budget_bytes = 0;
 };
 
-/// One answered assignment query (the QueryOutcome shape; `generation`
-/// names the snapshot that answered — every result of one batched call
-/// carries the same value, because the call acquires its snapshot exactly
-/// once).
-struct AssignResult : QueryOutcome {
-  bool operator==(const AssignResult&) const = default;
-};
-
 /// A unified serve request: `points` holds count * dim scalars, row-major.
 /// top_k == 0 asks for assignments (one QueryOutcome per point — the
 /// Theorem-1 absorb decision); top_k > 0 asks for ranked candidates (one
@@ -67,6 +59,9 @@ enum class QueryStatus {
   /// The addressed generation is neither current nor retained in the
   /// history ring.
   kGenerationUnavailable = 2,
+  /// Some coordinate of the request is NaN or infinite: nothing is scored,
+  /// every point answers unassigned, generation 0.
+  kInvalidInput = 3,
 };
 
 /// The answer to one QueryRequest. Exactly one of `assignments` (top_k ==
@@ -166,6 +161,7 @@ class ClusterServer {
   /// to querying that snapshot point by point serially, and an as-of
   /// request reproduces exactly the answers the addressed generation gave
   /// when it was current (the snapshot is immutable — nothing to recompute).
+  /// A request with a non-finite coordinate answers kInvalidInput.
   QueryResponse Query(const QueryRequest& request) const;
 
   /// Cluster births, deaths and drift between two addressable generations
@@ -194,33 +190,6 @@ class ClusterServer {
   /// single-line JSON (bench trajectory) or Prometheus text.
   const obs::MetricsRegistry& metrics() const { return stats_.registry(); }
 
-  // --- Deprecated pre-generation query surface ----------------------------
-  // Thin inline adapters over Query(), retained for one deprecation cycle.
-  // Migration:
-  //   server.Assign(x)          -> server.Query({.points = x}).assignments[0]
-  //   server.AssignBatch(xs)    -> server.Query({.points = xs}).assignments
-  //   server.TopKClusters(x, k) -> server.Query({.points = x, .top_k = k})
-  //                                      .ranked[0]
-
-  /// Single assignment query against the current snapshot.
-  [[deprecated(
-      "use Query(QueryRequest{.points = point}) — the generation-addressed "
-      "serve API")]]
-  AssignResult Assign(std::span<const Scalar> point) const;
-
-  /// Batched assignment against the current snapshot.
-  [[deprecated(
-      "use Query(QueryRequest{.points = points}) — the generation-addressed "
-      "serve API")]]
-  std::vector<AssignResult> AssignBatch(std::span<const Scalar> points) const;
-
-  /// Top-k candidate clusters of a point by pi(s_c, x), descending.
-  [[deprecated(
-      "use Query(QueryRequest{.points = point, .top_k = k}) — the "
-      "generation-addressed serve API")]]
-  std::vector<ScoredCluster> TopKClusters(std::span<const Scalar> point,
-                                          int k) const;
-
  private:
   struct Retained {
     uint64_t generation = 0;
@@ -243,33 +212,6 @@ class ClusterServer {
   int64_t history_evictions_ = 0;
   mutable ServeStats stats_;
 };
-
-inline AssignResult ClusterServer::Assign(std::span<const Scalar> point) const {
-  const QueryResponse response = Query(QueryRequest{point, 0, 0});
-  AssignResult result;
-  if (!response.assignments.empty()) {
-    static_cast<QueryOutcome&>(result) = response.assignments.front();
-  }
-  return result;
-}
-
-inline std::vector<AssignResult> ClusterServer::AssignBatch(
-    std::span<const Scalar> points) const {
-  const QueryResponse response = Query(QueryRequest{points, 0, 0});
-  std::vector<AssignResult> results(response.assignments.size());
-  for (size_t i = 0; i < response.assignments.size(); ++i) {
-    static_cast<QueryOutcome&>(results[i]) = response.assignments[i];
-  }
-  return results;
-}
-
-inline std::vector<ScoredCluster> ClusterServer::TopKClusters(
-    std::span<const Scalar> point, int k) const {
-  if (k <= 0) return {};
-  QueryResponse response = Query(QueryRequest{point, k, 0});
-  if (response.ranked.empty()) return {};
-  return std::move(response.ranked.front());
-}
 
 }  // namespace alid
 

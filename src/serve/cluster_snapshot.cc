@@ -16,11 +16,6 @@
 
 namespace alid {
 
-// The tiled sketch walk below hands the kernel callback one checkpoint
-// group per SoA tile; see the twin assert in online_alid.cc.
-static_assert(kSimdTileLanes == kSketchBoundStride,
-              "one SoA tile must cover exactly one bound-checkpoint group");
-
 namespace {
 
 // Per-thread query scratch: the LSH collision list and an epoch-stamped
@@ -47,7 +42,7 @@ bool ClusterSnapshot::CompatibleWith(const ClusterSnapshotOptions& options,
          l.num_tables == options.lsh.num_tables &&
          l.num_projections == options.lsh.num_projections &&
          l.segment_length == options.lsh.segment_length &&
-         l.seed == options.lsh.seed && sketch_params_ == options.sketch;
+         l.seed == options.lsh.seed;
 }
 
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromClusters(
@@ -69,7 +64,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
   snap->dim_ = dim;
   snap->generation_ = generation;
   snap->absorb_slack_ = options.absorb_slack;
-  snap->sketch_params_ = options.sketch;
   snap->affinity_fn_ = std::make_unique<AffinityFunction>(options.affinity);
 
   const int num_clusters = static_cast<int>(clusters.size());
@@ -258,41 +252,12 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
     }
   }
 
-  // Support sketches, cluster-local ordinals: shared blocks carry theirs;
-  // fresh clusters lift the stream's fresh sketch when one exists (the
-  // "export, don't rebuild" path) and otherwise build from the weights —
-  // both produce the same bits because the sketch is a pure function of the
-  // weights.
-  {
-    ALID_TRACE_SCOPE("publish", "sketches");
-    for (int c = 0; c < num_clusters; ++c) {
-      ClusterBlock* block = fresh[c].get();
-      if (block == nullptr) continue;
-      const SupportSketch* sketch = nullptr;
-      SupportSketch built;
-      if (stream != nullptr &&
-          stream->cluster_sketch(c).built_version ==
-              stream->cluster_version(c)) {
-        sketch = &stream->cluster_sketch(c);
-      } else {
-        built = BuildSupportSketch(block->weights_span(), options.sketch);
-        sketch = &built;
-      }
-      block->sketch_members.reserve(sketch->ordinals.size());
-      for (size_t t = 0; t < sketch->ordinals.size(); ++t) {
-        block->sketch_members.push_back(sketch->ordinals[t]);
-        block->sketch_weights.push_back(sketch->weights[t]);
-        block->sketch_rest.push_back(sketch->rest_weights[t]);
-      }
-    }
-  }
-
   // Vector-kernel tiles (see snapshot_arena.h): dimension-major copies of
-  // every fresh cluster's member block and sketch prefix, skipped entirely
-  // when the norm has no tile kernel. Pure per cluster, so the pass chunks
-  // on the build pool like the others; a shared block's tiles ride along
-  // with the block (a compatible predecessor was built under the same norm,
-  // so they exist and are bit-identical to a rebuild from the same rows).
+  // every fresh cluster's member block, skipped entirely when the norm has
+  // no tile kernel. Pure per cluster, so the pass chunks on the build pool
+  // like the others; a shared block's tiles ride along with the block (a
+  // compatible predecessor was built under the same norm, so they exist
+  // and are bit-identical to a rebuild from the same rows).
   snap->simd_norm_ = SimdSupportsNorm(options.affinity.p);
   if (snap->simd_norm_) {
     ALID_TRACE_SCOPE("publish", "soa_tiles");
@@ -303,11 +268,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
                        if (block == nullptr) continue;
                        block->cluster_soa.FromRowMajor(block->rows.data(),
                                                        block->count, dim);
-                       block->sketch_soa.GatherRowMajor(
-                           block->rows.data(), dim,
-                           std::span<const Index>(
-                               block->sketch_members.data(),
-                               block->sketch_members.size()));
                      }
                    });
   }
@@ -343,7 +303,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
   options.affinity = stream.options().affinity;
   options.lsh = stream.options().lsh;
   options.absorb_slack = stream.options().absorb_slack;
-  options.sketch = stream.options().sketch;
   options.pool = pool;
   options.grain = stream.options().grain;
   StreamIdentity identity;
@@ -372,19 +331,6 @@ Scalar ClusterSnapshot::ClusterAffinity(int c,
   return affinity;
 }
 
-ClusterSnapshot::SketchView ClusterSnapshot::sketch(int c) const {
-  SketchView view;
-  if (c < 0 || c >= num_clusters()) return view;
-  const ClusterBlock& block = *blocks_[c];
-  view.members = std::span<const Index>(block.sketch_members.data(),
-                                        block.sketch_members.size());
-  view.weights = std::span<const Scalar>(block.sketch_weights.data(),
-                                         block.sketch_weights.size());
-  view.rest_weights = std::span<const Scalar>(block.sketch_rest.data(),
-                                              block.sketch_rest.size());
-  return view;
-}
-
 const std::vector<Index>& ClusterSnapshot::CandidateMembers(
     std::span<const Scalar> point) const {
   QueryScratch& scratch = Scratch();
@@ -396,88 +342,45 @@ const std::vector<Index>& ClusterSnapshot::CandidateMembers(
   return scratch.hits;
 }
 
-bool ClusterSnapshot::SketchRejects(int c, std::span<const Scalar> point,
-                                    Scalar threshold,
-                                    Scalar incumbent) const {
-  const double p = affinity_fn_->params().p;
-  const ClusterBlock& block = *blocks_[c];
-  const std::span<const Scalar> prefix_weights(block.sketch_weights.data(),
-                                               block.sketch_weights.size());
-  const std::span<const Scalar> prefix_rest(block.sketch_rest.data(),
-                                            block.sketch_rest.size());
-  // One walk, shared with the stream's absorb phase (SketchBoundRejects
-  // [Tiled] in support_sketch.h): checkpoint cadence, guard, reject test
-  // and give-up rule live there exactly once, so a tweak cannot
-  // desynchronize the two layers' prune decisions.
-  if (simd_norm_) {
-    const SimdKernelOps& ops = *ActiveSimdOps();
-    const SoaBlock& soa = block.sketch_soa;
-    return SketchBoundRejectsTiled(
-        prefix_weights, prefix_rest, threshold, incumbent,
-        [&](size_t t0, size_t n, Scalar* out) {
-          // One SoA tile per checkpoint group (kSimdTileLanes ==
-          // kSketchBoundStride), so t0 always lands on a tile boundary.
-          Scalar dists[kSimdTileLanes];
-          TileDistances(ops, soa, static_cast<Index>(t0 / kSimdTileLanes),
-                        point.data(), p, dists);
-          for (size_t i = 0; i < n; ++i) {
-            out[i] = affinity_fn_->FromDistance(dists[i]);
-          }
-        });
+void ClusterSnapshot::ScoreCandidate(int c, std::span<const Scalar> point,
+                                     Scalar* best_margin,
+                                     QueryOutcome* best) const {
+  // Absorb when (near-)infective — the same slack rule, threshold and
+  // lowest-id tie-break as the stream's ScoreArrival.
+  const Scalar affinity = ClusterAffinity(c, point);
+  const Scalar margin = affinity - density_[c] * (1.0 - absorb_slack_);
+  if (margin > 0.0 && margin > *best_margin) {
+    *best_margin = margin;
+    best->cluster = c;
+    best->affinity = affinity;
+    best->margin = margin;
   }
-  return SketchBoundRejects(
-      prefix_weights, prefix_rest, threshold, incumbent, [&](size_t t) {
-        return affinity_fn_->FromDistance(
-            LpDistance(block.row(block.sketch_members[t]), point, p));
-      });
 }
 
-AssignOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
+QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
   ALID_CHECK(static_cast<int>(point.size()) == dim());
-  AssignOutcome best;
+  QueryOutcome best;
   best.generation = generation_;
   if (num_clusters() == 0) return best;
   CandidateMembers(point);
   const QueryScratch& scratch = Scratch();
   Scalar best_margin = -std::numeric_limits<Scalar>::infinity();
   for (int c = 0; c < num_clusters(); ++c) {
-    if (!scratch.candidates.IsMarked(static_cast<size_t>(c))) continue;
-    // Absorb when (near-)infective — the same slack rule, threshold and
-    // lowest-id tie-break as the stream's ScoreArrival.
-    const Scalar threshold = density_[c] * (1.0 - absorb_slack_);
-    if (!blocks_[c]->sketch_members.empty()) {
-      // Branch-and-bound: any scored prefix of the sketch plus its rest
-      // weight (plus the FP guard) certifies an upper bound on pi(s_c, x);
-      // a checkpoint bound that cannot clear the threshold or beat the
-      // incumbent margin rejects the cluster without touching its full
-      // support. The fallback below is the unchanged exact summation, so
-      // answers are bit-identical with the sketch on or off.
-      if (SketchRejects(c, point, threshold, best_margin)) {
-        ++best.sketch_prunes;
-        continue;
-      }
-      ++best.sketch_exact;
-    }
-    const Scalar affinity = ClusterAffinity(c, point);
-    const Scalar margin = affinity - threshold;
-    if (margin > 0.0 && margin > best_margin) {
-      best_margin = margin;
-      best.cluster = c;
-      best.affinity = affinity;
-      best.margin = margin;
+    if (scratch.candidates.IsMarked(static_cast<size_t>(c))) {
+      ScoreCandidate(c, point, &best_margin, &best);
     }
   }
   return best;
 }
 
 void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
-                                  std::span<AssignOutcome> outcomes) const {
+                                  std::span<QueryOutcome> outcomes) const {
   const int d = dim();
   ALID_CHECK(d > 0 && points.size() % static_cast<size_t>(d) == 0);
   const Index count = static_cast<Index>(points.size() / d);
   ALID_CHECK(outcomes.size() == static_cast<size_t>(count));
   for (Index q = 0; q < count; ++q) {
-    outcomes[q] = AssignOutcome{};
+    outcomes[q] = QueryOutcome{};
     outcomes[q].generation = generation_;
   }
   const int num = num_clusters();
@@ -485,22 +388,18 @@ void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
   // Query-major tiling: mark every query's candidate clusters up front for
   // a block of queries, then stream the clusters in ascending id across
   // the whole block, so each cluster's SoA tiles are pulled through the
-  // cache once per block instead of once per query. The inner body is the
-  // loop body of Assign verbatim, each query carrying its own incumbent,
-  // and every query still visits its candidates in ascending cluster id —
-  // so winners, margins and sketch counters are bit-identical to per-query
-  // Assign calls (the property the batch-vs-serial tests pin).
+  // cache once per block instead of once per query. Each query carries its
+  // own incumbent and still visits its candidates in ascending cluster id,
+  // so winners and margins are bit-identical to per-query Assign calls
+  // (the property the batch-vs-serial tests pin).
   constexpr Index kQueryBlock = 32;
   std::vector<uint8_t> candidate(static_cast<size_t>(kQueryBlock) * num, 0);
   std::array<Scalar, kQueryBlock> best_margin;
   for (Index q0 = 0; q0 < count; q0 += kQueryBlock) {
     const Index block = std::min<Index>(kQueryBlock, count - q0);
     for (Index i = 0; i < block; ++i) {
-      const std::span<const Scalar> point =
-          points.subspan(static_cast<size_t>(q0 + i) * d,
-                         static_cast<size_t>(d));
-      ALID_CHECK(static_cast<int>(point.size()) == d);
-      CandidateMembers(point);
+      CandidateMembers(points.subspan(static_cast<size_t>(q0 + i) * d,
+                                      static_cast<size_t>(d)));
       const QueryScratch& scratch = Scratch();
       for (int c = 0; c < num; ++c) {
         candidate[static_cast<size_t>(i) * num + c] =
@@ -509,29 +408,11 @@ void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
       best_margin[i] = -std::numeric_limits<Scalar>::infinity();
     }
     for (int c = 0; c < num; ++c) {
-      const Scalar threshold = density_[c] * (1.0 - absorb_slack_);
-      const bool sketched = !blocks_[c]->sketch_members.empty();
       for (Index i = 0; i < block; ++i) {
         if (candidate[static_cast<size_t>(i) * num + c] == 0) continue;
-        const std::span<const Scalar> point =
-            points.subspan(static_cast<size_t>(q0 + i) * d,
-                           static_cast<size_t>(d));
-        AssignOutcome& best = outcomes[q0 + i];
-        if (sketched) {
-          if (SketchRejects(c, point, threshold, best_margin[i])) {
-            ++best.sketch_prunes;
-            continue;
-          }
-          ++best.sketch_exact;
-        }
-        const Scalar affinity = ClusterAffinity(c, point);
-        const Scalar margin = affinity - threshold;
-        if (margin > 0.0 && margin > best_margin[i]) {
-          best_margin[i] = margin;
-          best.cluster = c;
-          best.affinity = affinity;
-          best.margin = margin;
-        }
+        const std::span<const Scalar> point = points.subspan(
+            static_cast<size_t>(q0 + i) * d, static_cast<size_t>(d));
+        ScoreCandidate(c, point, &best_margin[i], &outcomes[q0 + i]);
       }
     }
   }
@@ -544,36 +425,15 @@ std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
   if (k <= 0 || num_clusters() == 0) return scored;
   CandidateMembers(point);
   const QueryScratch& scratch = Scratch();
-  // Running k-th best affinity (min of the current top-k). Candidates
-  // iterate in ascending id and exact ties break toward the lower id, so
-  // once k candidates are scored, a later candidate whose sketch bound is
-  // <= the k-th affinity can never enter the top k — skipping its exact
-  // scoring leaves the truncated result identical.
-  std::vector<Scalar> topk;  // min-heap of the k best affinities so far
   for (int c = 0; c < num_clusters(); ++c) {
     if (!scratch.candidates.IsMarked(static_cast<size_t>(c))) continue;
-    if (static_cast<int>(topk.size()) == k &&
-        !blocks_[c]->sketch_members.empty() &&
-        SketchRejects(c, point, /*threshold=*/0.0,
-                      /*incumbent=*/topk.front())) {
-      continue;
-    }
-    const Scalar affinity = ClusterAffinity(c, point);
     ScoredCluster entry;
     entry.cluster = c;
-    entry.affinity = affinity;
-    entry.margin = affinity - density_[c] * (1.0 - absorb_slack_);
+    entry.affinity = ClusterAffinity(c, point);
+    entry.margin = entry.affinity - density_[c] * (1.0 - absorb_slack_);
     entry.generation = generation_;
     entry.absorbable = entry.margin > 0.0;
     scored.push_back(entry);
-    if (static_cast<int>(topk.size()) < k) {
-      topk.push_back(affinity);
-      std::push_heap(topk.begin(), topk.end(), std::greater<Scalar>());
-    } else if (affinity > topk.front()) {
-      std::pop_heap(topk.begin(), topk.end(), std::greater<Scalar>());
-      topk.back() = affinity;
-      std::push_heap(topk.begin(), topk.end(), std::greater<Scalar>());
-    }
   }
   // Descending affinity, ascending id on exact ties: a stable total order,
   // so batched and serial TopK answers are identical.

@@ -9,7 +9,6 @@
 #include "affinity/affinity_function.h"
 #include "common/dataset.h"
 #include "core/cluster.h"
-#include "core/support_sketch.h"
 #include "lsh/lsh_index.h"
 #include "serve/snapshot_arena.h"
 #include "simd/soa_block.h"
@@ -32,12 +31,6 @@ struct ClusterSnapshotOptions {
   LshParams lsh;
   /// Absorb slack of the assignment rule (see OnlineAlidOptions).
   double absorb_slack = 0.05;
-  /// Per-cluster support-sketch sizing for the serving hot path (the same
-  /// branch-and-bound filter the stream's absorb scoring uses; prefix = 0
-  /// disables it and every candidate scores exactly). Answers are
-  /// bit-identical either way — the sketch only skips provably hopeless
-  /// exact scorings.
-  SupportSketchParams sketch;
   /// Optional pool for the build's parallel passes (LSH key computation and
   /// the density verification; build-time only — queries never touch it).
   ThreadPool* pool = nullptr;
@@ -50,8 +43,8 @@ struct ClusterSnapshotOptions {
 struct SnapshotBuildInfo {
   int clusters_total = 0;
   /// Clusters inherited wholesale from the previous snapshot: their arena
-  /// blocks (member rows, weights, LSH keys, verified density, sketch, SoA
-  /// tiles) moved as shared refcount bumps because the stream's
+  /// blocks (member rows, weights, LSH keys, verified density, SoA tiles)
+  /// moved as shared refcount bumps because the stream's
   /// (uid, version) pair proved them unchanged.
   int clusters_reused = 0;
   Index rows_reused = 0;    ///< Member rows shared from the predecessor.
@@ -66,8 +59,8 @@ struct SnapshotBuildInfo {
 };
 
 /// The shared shape of every answered query — the single result vocabulary
-/// of the serve API (ClusterServer::Query). AssignResult and ScoredCluster
-/// extend it without changing its meaning.
+/// of the serve API (ClusterServer::Query). ScoredCluster extends it without
+/// changing its meaning.
 struct QueryOutcome {
   /// Snapshot cluster id, or -1 when no candidate cluster absorbs the point.
   int cluster = -1;
@@ -83,16 +76,9 @@ struct QueryOutcome {
   bool operator==(const QueryOutcome&) const = default;
 };
 
-/// The outcome of one assignment query against a snapshot: the QueryOutcome
-/// shape plus the query's sketch-filter activity.
-struct AssignOutcome : QueryOutcome {
-  /// Candidate clusters the support-sketch bound rejected for this query —
-  /// full-support scorings skipped without changing the answer.
-  int32_t sketch_prunes = 0;
-  /// Sketch-engaged candidates whose bound was inconclusive and scored
-  /// exactly.
-  int32_t sketch_exact = 0;
-};
+/// Former name of a snapshot's assignment outcome, kept as an alias for
+/// external readers.
+using AssignOutcome = QueryOutcome;
 
 /// One scored candidate of a TopKClusters query.
 struct ScoredCluster : QueryOutcome {
@@ -120,7 +106,7 @@ struct ClusterSnapshotInfo {
 
 /// An immutable, self-contained view of one detection state, built for
 /// serving: every dominant cluster's payload (compacted member rows, simplex
-/// weights, source ids, per-member LSH keys, support sketch, SoA tiles)
+/// weights, source ids, per-member LSH keys, SoA tiles)
 /// lives in a refcounted arena block (see snapshot_arena.h), plus a
 /// per-snapshot LSH index over the members for candidate retrieval. The
 /// incremental export *shares* an unchanged cluster's block with the
@@ -145,20 +131,18 @@ class ClusterSnapshot {
       const Dataset& data, const DetectionResult& result,
       const ClusterSnapshotOptions& options, uint64_t generation = 0);
 
-  /// Exports the live state of a stream. Affinity/LSH parameters, absorb
-  /// slack and the sketch sizing are taken from the stream's own options, so
-  /// Assign reproduces the stream's absorb decision bit for bit (and the
-  /// stream's freshly maintained support sketches are lifted into the
-  /// snapshot instead of being rebuilt); the generation is the stream's
-  /// arrival count. The stream must not be mutated during the export (the
-  /// ingest loop exports between batches); afterwards the snapshot is fully
-  /// decoupled.
+  /// Exports the live state of a stream. Affinity/LSH parameters and absorb
+  /// slack are taken from the stream's own options, so Assign reproduces
+  /// the stream's absorb decision bit for bit; the generation is the
+  /// stream's arrival count. The stream must not be mutated during the
+  /// export (the ingest loop exports between batches); afterwards the
+  /// snapshot is fully decoupled.
   ///
   /// `previous` enables the incremental export: any cluster whose stream
   /// (uid, version) pair matches a cluster of the previous snapshot — which
   /// proves its members, weights, density and member rows did not change —
   /// *shares* that snapshot's arena block (rows, weights, per-member LSH
-  /// keys, verified density, sketch, SoA tiles) by refcount instead of
+  /// keys, verified density, SoA tiles) by refcount instead of
   /// gathering, re-hashing and re-verifying, turning publish cost from
   /// O(window) into O(changed bytes). The result is deep-equal to a
   /// from-scratch build (the property tests pin this every generation); pass
@@ -180,20 +164,18 @@ class ClusterSnapshot {
   /// with the largest positive margin pi(s_c, x) - density_c * (1 - slack)
   /// (lowest id on ties — the same rule as OnlineAlid::ScoreArrival).
   /// outcome.generation carries this snapshot's generation.
-  AssignOutcome Assign(std::span<const Scalar> point) const;
+  QueryOutcome Assign(std::span<const Scalar> point) const;
 
   /// Assign for a batch of queries: `points` holds count * dim scalars,
   /// row-major; `outcomes` must hold count entries. Each outcome — winner,
-  /// affinity, margin, sketch counters — is bit-identical to a standalone
-  /// Assign of the same point: the batch only reorders the *work* query-
-  /// major (outer loop over clusters in ascending id, inner loop over a
-  /// block of queries, each with its own incumbent), so one cluster's SoA
-  /// tiles are streamed through the cache once per query block instead of
-  /// once per query. Every candidate visit still happens in ascending
-  /// cluster id with the same per-query incumbent sequence, so prune
-  /// decisions — and the counters — cannot diverge from the scalar order.
+  /// affinity, margin — is bit-identical to a standalone Assign of the same
+  /// point: the batch only reorders the *work* query-major (outer loop over
+  /// clusters in ascending id, inner loop over a block of queries, each
+  /// with its own incumbent), so one cluster's SoA tiles are streamed
+  /// through the cache once per query block instead of once per query.
+  /// Every query still visits its candidates in ascending cluster id.
   void AssignBatch(std::span<const Scalar> points,
-                   std::span<AssignOutcome> outcomes) const;
+                   std::span<QueryOutcome> outcomes) const;
 
   /// The candidate clusters of `point` scored by pi(s_c, x), descending
   /// (lowest id on ties), truncated to k.
@@ -215,19 +197,6 @@ class ClusterSnapshot {
 
   /// What this build cost and what the incremental path saved/shared.
   const SnapshotBuildInfo& build_info() const { return build_info_; }
-
-  /// Read-only view of cluster `c`'s support sketch (empty spans when the
-  /// sketch is disengaged for that cluster) — the deep-equality tests
-  /// compare these across incremental and from-scratch builds.
-  struct SketchView {
-    /// Cluster-local member ordinals, descending weight.
-    std::span<const Index> members;
-    std::span<const Scalar> weights;
-    /// Weight mass left after each prefix position (see SupportSketch).
-    std::span<const Scalar> rest_weights;
-    bool engaged() const { return !members.empty(); }
-  };
-  SketchView sketch(int c) const;
 
   /// The refcounted arena blocks backing this snapshot, one per cluster —
   /// shared with other generations that inherited the same clusters. The
@@ -262,15 +231,11 @@ class ClusterSnapshot {
   // order — the same summation order as OnlineAlid::ClusterAffinity, so the
   // value is bit-identical to the stream's own scoring.
   Scalar ClusterAffinity(int c, std::span<const Scalar> point) const;
-  // Branch-and-bound walk over cluster c's sketch prefix: true when some
-  // checkpoint margin bound — (partial + rest_weight + guard) - threshold,
-  // a certified upper bound on the exact margin — drops to 0 or to
-  // `incumbent` or below, i.e. the cluster provably cannot win and exact
-  // scoring may be skipped. TopK calls it with threshold = 0 so the bound
-  // compares directly against the k-th best affinity. Only call for
-  // clusters with an engaged sketch.
-  bool SketchRejects(int c, std::span<const Scalar> point, Scalar threshold,
-                     Scalar incumbent) const;
+  // Scores candidate cluster c for `point` and installs it in `best` when
+  // its margin is positive and beats `best_margin` (the Assign rule, lowest
+  // id on ties because candidates are visited in ascending id).
+  void ScoreCandidate(int c, std::span<const Scalar> point,
+                      Scalar* best_margin, QueryOutcome* best) const;
   // Marks the clusters of the point's LSH collisions in thread-local
   // scratch and returns the collision list.
   const std::vector<Index>& CandidateMembers(
@@ -290,7 +255,6 @@ class ClusterSnapshot {
   std::vector<uint64_t> src_uid_;
   std::vector<uint64_t> src_version_;
   bool simd_norm_ = false;
-  SupportSketchParams sketch_params_;
   double absorb_slack_ = 0.05;
   std::unique_ptr<AffinityFunction> affinity_fn_;
   // Per-snapshot dataset-free LSH index over the global member positions

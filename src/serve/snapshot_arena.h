@@ -23,9 +23,9 @@ MemoryTracker& SnapshotArenaTracker();
 
 /// One cluster's immutable serving payload, allocated in the shared snapshot
 /// arena: the member rows, simplex weights, source ids, per-member LSH
-/// bucket keys, support-sketch slices and SIMD SoA tiles that every query
-/// path reads. A block is built and mutated only inside one snapshot build
-/// (which holds the sole reference), then sealed and published behind
+/// bucket keys and SIMD SoA tiles that every query path reads. A block is
+/// built and mutated only inside one snapshot build (which holds the sole
+/// reference), then sealed and published behind
 /// shared_ptr<const ClusterBlock>; from then on it is immutable, so a
 /// successor snapshot whose stream (uid, version) pair proves the cluster
 /// unchanged *shares* the block with a refcount bump instead of copying it —
@@ -56,17 +56,9 @@ struct ClusterBlock {
   /// a shared block's members re-enter the successor snapshot's index
   /// without re-hashing.
   std::vector<uint64_t> member_keys;
-  /// Support sketch over the weights, cluster-LOCAL member ordinals in
-  /// descending-weight order (empty when disengaged), with the per-position
-  /// weights and rest-weights that drive the branch-and-bound walk.
-  std::vector<Index> sketch_members;
-  std::vector<Scalar> sketch_weights;
-  std::vector<Scalar> sketch_rest;
-  /// Dimension-major SIMD tiles of all member rows (member order) and of
-  /// the sketch prefix (descending-weight order); empty when the configured
-  /// norm has no tile kernel.
+  /// Dimension-major SIMD tiles of all member rows (member order); empty
+  /// when the configured norm has no tile kernel.
   SoaBlock cluster_soa;
-  SoaBlock sketch_soa;
   /// x^T A x recomputed from the build's own kernel entries (see
   /// ClusterSnapshotInfo::verified_density).
   Scalar verified_density = 0.0;

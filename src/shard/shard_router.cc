@@ -26,8 +26,6 @@ ShardRouter::ShardRouter(int dim, int num_shards, ShardRouterOptions options)
   metrics_.publishes = reg.AddCounter("router_publishes");
   metrics_.offline_queries = reg.AddCounter("router_offline_queries");
   metrics_.stale_generation = reg.AddCounter("router_stale_generation");
-  metrics_.sketch_prunes = reg.AddCounter("router_sketch_prunes");
-  metrics_.sketch_exact = reg.AddCounter("router_sketch_exact");
   metrics_.query_seconds.AttachHistogram(
       reg.AddHistogram("router_query_seconds", obs::LatencyHistogramEdges()));
   metrics_.publish_seconds.AttachHistogram(
@@ -113,6 +111,10 @@ ShardedQueryResponse ShardRouter::Query(const QueryRequest& request) const {
   } else {
     response.assignments.resize(static_cast<size_t>(count));
   }
+  if (!AllFinite(request.points)) {
+    response.status = QueryStatus::kInvalidInput;
+    return response;
+  }
 
   // The linearization point: ONE pinned generation answers every point of
   // the request across every shard, no matter how publishers race.
@@ -143,18 +145,14 @@ ShardedQueryResponse ShardRouter::Query(const QueryRequest& request) const {
         options_.pool, 0, count, options_.grain,
         [&](int64_t, int64_t lo, int64_t hi) {
           const size_t n = static_cast<size_t>(hi - lo);
-          std::vector<AssignOutcome> outcomes(n);
+          std::vector<QueryOutcome> outcomes(n);
           const auto chunk_points = request.points.subspan(
               static_cast<size_t>(lo) * dim_, n * static_cast<size_t>(dim_));
-          int64_t prunes = 0;
-          int64_t exact = 0;
           for (int s = 0; s < num_shards; ++s) {
             if (shards[static_cast<size_t>(s)]->num_clusters() == 0) continue;
             shards[static_cast<size_t>(s)]->AssignBatch(
                 chunk_points, {outcomes.data(), outcomes.size()});
             for (size_t i = 0; i < n; ++i) {
-              prunes += outcomes[i].sketch_prunes;
-              exact += outcomes[i].sketch_exact;
               if (outcomes[i].cluster < 0) continue;
               ShardAssignment& best =
                   response.assignments[static_cast<size_t>(lo) + i];
@@ -172,8 +170,6 @@ ShardedQueryResponse ShardRouter::Query(const QueryRequest& request) const {
             response.assignments[static_cast<size_t>(lo) + i].generation =
                 pinned->generation;
           }
-          if (prunes > 0) metrics_.sketch_prunes->Add(prunes);
-          if (exact > 0) metrics_.sketch_exact->Add(exact);
         });
   } else {
     ParallelChunks(

@@ -132,7 +132,8 @@ class ShardRouter {
   /// ClusterServer::Query, answered by every shard of ONE pinned
   /// generation and merged (see class comment). Assignment results are
   /// bit-identical to querying each shard snapshot serially and merging by
-  /// the stated rule.
+  /// the stated rule. A request with a non-finite coordinate answers
+  /// kInvalidInput.
   ShardedQueryResponse Query(const QueryRequest& request) const;
 
   /// The boundary-cluster report of the current generation: every
@@ -174,8 +175,6 @@ class ShardRouter {
     obs::Counter* publishes = nullptr;
     obs::Counter* offline_queries = nullptr;
     obs::Counter* stale_generation = nullptr;
-    obs::Counter* sketch_prunes = nullptr;
-    obs::Counter* sketch_exact = nullptr;
     obs::LatencyReservoir query_seconds{8192};
     obs::LatencyReservoir publish_seconds{8192};
   };

@@ -15,7 +15,7 @@ namespace alid {
 /// Options of the sharded ingest tier.
 struct ShardedStreamOptions {
   /// Per-shard OnlineAlid configuration (every shard runs the same one —
-  /// affinity/LSH parameters, window, sketch, and the *shared* pool; the
+  /// affinity/LSH parameters, window, and the *shared* pool; the
   /// LSH seed in particular makes bucket keys comparable across shards,
   /// which is what the boundary-cluster report keys on).
   OnlineAlidOptions base;

@@ -39,21 +39,6 @@ void SoaBlock::FromRowMajor(const Scalar* rows, Index count, int dim) {
   }
 }
 
-void SoaBlock::GatherRowMajor(const Scalar* rows, int dim,
-                              std::span<const Index> items) {
-  Resize(static_cast<Index>(items.size()), dim);
-  for (size_t m = 0; m < items.size(); ++m) {
-    const Scalar* row = rows + static_cast<size_t>(items[m]) * dim;
-    Scalar* lane = tiles_.data() +
-                   (m / kSimdTileLanes) * static_cast<size_t>(dim_) *
-                       kSimdTileLanes +
-                   m % kSimdTileLanes;
-    for (int k = 0; k < dim; ++k) {
-      lane[static_cast<size_t>(k) * kSimdTileLanes] = row[k];
-    }
-  }
-}
-
 void TileDistances(const SimdKernelOps& ops, const SoaBlock& block, Index t,
                    const Scalar* query, double p,
                    Scalar out[kSimdTileLanes]) {

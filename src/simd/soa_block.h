@@ -44,12 +44,6 @@ class SoaBlock {
   /// snapshot's cluster-major member storage.
   void FromRowMajor(const Scalar* rows, Index count, int dim);
 
-  /// Rebuilds from rows of a contiguous row-major block gathered at `items`
-  /// (block-local row ordinals), in order — how an arena block tiles its
-  /// sketch prefix (descending-weight order) from its own member rows.
-  void GatherRowMajor(const Scalar* rows, int dim,
-                      std::span<const Index> items);
-
   /// Base pointer of tile t (dim * kSimdTileLanes scalars).
   const Scalar* tile(Index t) const {
     return tiles_.data() +

@@ -1,7 +1,9 @@
 // Tests of the p-stable LSH index: recall on planted clusters, selectivity
 // against noise, bucket iteration and determinism.
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +33,35 @@ LshParams DefaultParams(const LabeledData& data) {
   p.num_projections = 6;
   p.segment_length = data.suggested_lsh_r;
   return p;
+}
+
+TEST(LshIndexTest, OutOfRangeCoordinatesSaturateTheBucketKey) {
+  // A projection floor beyond the int32 range saturates instead of
+  // overflowing the key cast, so scaling a far point further leaves every
+  // key unchanged, and a NaN coordinate hashes to a defined key. In-range
+  // floors cast exactly as before: rows keep their buckets.
+  LabeledData data = TightClusters();
+  LshIndex lsh(data.data, DefaultParams(data));
+  const auto keys = [&lsh](std::span<const Scalar> point) {
+    std::vector<uint64_t> out(static_cast<size_t>(lsh.num_tables()));
+    lsh.ComputePointKeys(point, out.data());
+    return out;
+  };
+  for (Index i : {Index{0}, Index{7}, Index{150}}) {
+    std::vector<uint64_t> stored(static_cast<size_t>(lsh.num_tables()));
+    lsh.ComputeItemKeys(i, stored.data());
+    EXPECT_EQ(keys(data.data[i]), stored) << "row " << i;
+    std::vector<Scalar> far(data.data[i].begin(), data.data[i].end());
+    std::vector<Scalar> farther = far;
+    for (Scalar& x : far) x *= 1e100;
+    for (Scalar& x : farther) x *= 1e200;
+    EXPECT_EQ(keys(far), keys(farther)) << "row " << i;
+    EXPECT_NE(keys(far), stored) << "row " << i;
+    EXPECT_TRUE(lsh.QueryByPoint(far).empty()) << "row " << i;
+  }
+  const std::vector<Scalar> nan(static_cast<size_t>(data.data.dim()),
+                                std::numeric_limits<Scalar>::quiet_NaN());
+  EXPECT_EQ(keys(nan), keys(nan));
 }
 
 TEST(LshIndexTest, QueryExcludesSelf) {

@@ -1,9 +1,12 @@
 // Tests of the cluster-serving subsystem: snapshot immutability under
 // concurrent ingest, RCU swap linearizability, batched-parallel ==
-// serial-query bit-identity, and the assign-agrees-with-absorb contract
-// against the streaming runtime's own Theorem-1 decision.
+// serial-query bit-identity, the assign-agrees-with-absorb contract
+// against the streaming runtime's own Theorem-1 decision, the incremental
+// export's deep equality with a from-scratch build, and the non-finite
+// input contract of Query.
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -22,14 +25,14 @@
 namespace alid {
 namespace {
 
-LabeledData Workload(Index n = 420, uint64_t seed = 91) {
+LabeledData Workload(Index n = 420, uint64_t seed = 91, bool overlap = false) {
   SyntheticConfig cfg;
   cfg.n = n;
   cfg.dim = 10;
   cfg.num_clusters = 4;
   cfg.omega = 0.6;
   cfg.mean_box = 300.0;
-  cfg.overlap_clusters = false;
+  cfg.overlap_clusters = overlap;
   cfg.seed = seed;
   return MakeSynthetic(cfg);
 }
@@ -75,6 +78,21 @@ std::vector<Scalar> FlatRows(const LabeledData& data,
     flat.insert(flat.end(), row.begin(), row.end());
   }
   return flat;
+}
+
+// Feeds the shuffled dataset into a fresh stream as batches of `batch` and
+// flushes the pool.
+std::unique_ptr<OnlineAlid> StreamInBatches(const LabeledData& data,
+                                            const OnlineAlidOptions& opts,
+                                            Index batch) {
+  auto online = std::make_unique<OnlineAlid>(data.data.dim(), opts);
+  const std::vector<Index> order = ShuffledOrder(data);
+  for (Index begin = 0; begin < data.size(); begin += batch) {
+    online->InsertBatch(FlatRows(data, order, begin,
+                                 std::min<Index>(begin + batch, data.size())));
+  }
+  online->Refresh();
+  return online;
 }
 
 TEST(ServeTest, AssignAgreesWithStreamAbsorbOnHeldOutArrivals) {
@@ -529,6 +547,201 @@ TEST(ServeTest, StatsCountQueriesAndLatencies) {
   const ServeStatsView reset = server.stats();
   EXPECT_EQ(reset.queries, 0);
   EXPECT_TRUE(reset.query_seconds.empty());
+}
+
+TEST(ServeTest, NonFiniteQueryAnswersInvalidInput) {
+  LabeledData data = Workload(260, 13);
+  const std::vector<Index> order = ShuffledOrder(data);
+  auto online = FeedStream(data, order, 200, StreamOptions(data));
+  ClusterServer server(data.data.dim());
+  server.Publish(ClusterSnapshot::FromStream(*online));
+  const int dim = data.data.dim();
+  const std::vector<Scalar> three = FlatRows(data, order, 200, 203);
+  const QueryResponse good = server.Query({.points = three});
+  ASSERT_TRUE(good.ok());
+
+  // One poisoned coordinate rejects the whole request before any snapshot
+  // is pinned or any point is hashed: a sized, unassigned answer in either
+  // mode, generation 0, and nothing recorded as served.
+  for (Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                     std::numeric_limits<Scalar>::infinity(),
+                     -std::numeric_limits<Scalar>::infinity()}) {
+    std::vector<Scalar> poisoned = three;
+    poisoned[static_cast<size_t>(dim) + 4] = bad;
+    const QueryResponse assign = server.Query({.points = poisoned});
+    EXPECT_EQ(assign.status, QueryStatus::kInvalidInput);
+    EXPECT_FALSE(assign.ok());
+    EXPECT_EQ(assign.generation, 0u);
+    ASSERT_EQ(assign.assignments.size(), 3u);
+    for (const QueryOutcome& o : assign.assignments) {
+      EXPECT_EQ(o, QueryOutcome{});
+    }
+    EXPECT_TRUE(assign.ranked.empty());
+    const QueryResponse ranked =
+        server.Query({.points = poisoned, .top_k = 2});
+    EXPECT_EQ(ranked.status, QueryStatus::kInvalidInput);
+    ASSERT_EQ(ranked.ranked.size(), 3u);
+    for (const auto& r : ranked.ranked) EXPECT_TRUE(r.empty());
+  }
+  EXPECT_EQ(server.stats().queries, 3);
+  EXPECT_EQ(server.stats().topk_queries, 0);
+
+  // A huge but finite coordinate is valid input: its LSH keys saturate, it
+  // collides with nothing and answers unassigned.
+  std::vector<Scalar> far = three;
+  for (int d = 0; d < dim; ++d) far[static_cast<size_t>(d)] *= 1e200;
+  const QueryResponse far_answer = server.Query({.points = far});
+  ASSERT_TRUE(far_answer.ok());
+  EXPECT_EQ(far_answer.assignments[0].cluster, -1);
+  EXPECT_EQ(far_answer.assignments[1], good.assignments[1]);
+  EXPECT_EQ(far_answer.assignments[2], good.assignments[2]);
+}
+
+// Streams `data` while publishing a chained incremental snapshot and a
+// from-scratch snapshot every batch, deep-comparing the two; returns the
+// total rows the incremental chain re-used. Phase 2 (after the dataset is
+// exhausted) feeds batches localized around one planted cluster — the
+// steady-state shape where ingest leaves most clusters untouched.
+int64_t RunIncrementalVsScratch(const LabeledData& data, Index window) {
+  OnlineAlidOptions opts = StreamOptions(data);
+  opts.window = window;
+  const int dim = data.data.dim();
+  OnlineAlid online(dim, opts);
+  const std::vector<Index> order = ShuffledOrder(data);
+
+  // Fixed probe set for answer-level equality.
+  std::vector<std::vector<Scalar>> probes;
+  Rng probe_rng(13);
+  for (int q = 0; q < 40; ++q) {
+    std::vector<Scalar> p(dim);
+    const auto row = data.data[static_cast<Index>(
+        probe_rng.UniformInt(0, data.size() - 1))];
+    for (int d = 0; d < dim; ++d) {
+      p[d] = row[d] + probe_rng.Gaussian() * 0.3;
+    }
+    probes.push_back(std::move(p));
+  }
+
+  std::shared_ptr<const ClusterSnapshot> incremental;
+  int64_t rows_reused = 0;
+  Index pos = 0;
+  const Index batch = 40;
+  int localized = 0;
+  Rng jitter_rng(29);
+  while (pos < data.size() || localized < 6) {
+    std::vector<Scalar> flat;
+    if (pos < data.size()) {
+      const Index end = std::min<Index>(pos + batch, data.size());
+      flat = FlatRows(data, order, pos, end);
+      pos = end;
+    } else {
+      ++localized;
+      const IndexList& burst = data.true_clusters[0];
+      for (int q = 0; q < 30; ++q) {
+        const auto row = data.data[burst[static_cast<size_t>(
+            jitter_rng.UniformInt(0, static_cast<int>(burst.size()) - 1))]];
+        for (int d = 0; d < dim; ++d) {
+          flat.push_back(row[d] + jitter_rng.Gaussian() * 0.2);
+        }
+      }
+    }
+    online.InsertBatch(flat);
+    incremental = ClusterSnapshot::FromStream(online, nullptr, incremental);
+    const auto scratch = ClusterSnapshot::FromStream(online);
+    SCOPED_TRACE(testing::Message() << "generation " << online.size());
+
+    EXPECT_EQ(scratch->build_info().rows_reused, 0);
+    EXPECT_EQ(scratch->build_info().clusters_reused, 0);
+    rows_reused += incremental->build_info().rows_reused;
+
+    EXPECT_EQ(incremental->num_clusters(), scratch->num_clusters());
+    EXPECT_EQ(incremental->num_members(), scratch->num_members());
+    EXPECT_EQ(incremental->generation(), scratch->generation());
+    if (incremental->num_clusters() != scratch->num_clusters()) break;
+    for (int c = 0; c < scratch->num_clusters(); ++c) {
+      const ClusterSnapshotInfo a = incremental->ClusterInfo(c);
+      const ClusterSnapshotInfo b = scratch->ClusterInfo(c);
+      EXPECT_EQ(a.members, b.members) << "cluster " << c;
+      EXPECT_EQ(a.weights, b.weights) << "cluster " << c;
+      EXPECT_EQ(a.density, b.density) << "cluster " << c;
+      EXPECT_EQ(a.verified_density, b.verified_density) << "cluster " << c;
+      EXPECT_EQ(a.seed, b.seed) << "cluster " << c;
+    }
+    for (size_t q = 0; q < probes.size(); ++q) {
+      EXPECT_EQ(incremental->Assign(probes[q]), scratch->Assign(probes[q]))
+          << "probe " << q;
+      EXPECT_EQ(incremental->TopKClusters(probes[q], 4),
+                scratch->TopKClusters(probes[q], 4))
+          << "probe " << q;
+    }
+  }
+  return rows_reused;
+}
+
+TEST(ServeTest, IncrementalExportDeepEqualsFromScratch) {
+  // Every generation, the incremental export (chained on its predecessor)
+  // must be indistinguishable from a from-scratch rebuild: same clusters,
+  // rows, weights, verified densities and answers — and the steady-state
+  // phase must actually re-use, or the publish optimization silently lost
+  // itself.
+  EXPECT_GT(RunIncrementalVsScratch(Workload(420, 17), /*window=*/0), 0);
+}
+
+TEST(ServeTest, IncrementalExportDeepEqualsFromScratchUnderWindow) {
+  // The windowed variant churns every cluster through expiry repairs and
+  // slot re-use — the case where serving a stale inherited row would be
+  // catastrophic. Deep equality every generation is the regression net;
+  // re-use is not required here (expiry may legitimately touch everything).
+  RunIncrementalVsScratch(Workload(420, 17), /*window=*/260);
+}
+
+TEST(ServeTest, ReuseRequiresCompatibleParameters) {
+  // A snapshot built under different scoring parameters must never donate
+  // its blocks, even when the stream state did not move.
+  LabeledData data = Workload(300, 3);
+  OnlineAlidOptions opts = StreamOptions(data);
+  std::unique_ptr<OnlineAlid> online = StreamInBatches(data, opts, 64);
+  const auto first = ClusterSnapshot::FromStream(*online);
+  // Same stream, unchanged state: everything re-uses.
+  const auto second = ClusterSnapshot::FromStream(*online, nullptr, first);
+  EXPECT_EQ(second->build_info().clusters_reused,
+            second->build_info().clusters_total);
+  EXPECT_EQ(second->build_info().rows_rebuilt, 0);
+  // A predecessor with a different absorb slack is rejected wholesale.
+  OnlineAlidOptions other = opts;
+  other.absorb_slack = opts.absorb_slack / 2;
+  std::unique_ptr<OnlineAlid> online2 = StreamInBatches(data, other, 64);
+  const auto incompatible =
+      ClusterSnapshot::FromStream(*online2, nullptr, first);
+  EXPECT_EQ(incompatible->build_info().clusters_reused, 0);
+}
+
+TEST(ServeTest, ServerSurfacesPublishTelemetry) {
+  LabeledData data = Workload(380, 59, /*overlap=*/true);
+  std::unique_ptr<OnlineAlid> online =
+      StreamInBatches(data, StreamOptions(data), 64);
+  const int dim = data.data.dim();
+  ClusterServer server(dim);
+  const auto first = ClusterSnapshot::FromStream(*online);
+  server.Publish(first);
+  server.Publish(ClusterSnapshot::FromStream(*online, nullptr, first));
+  const ServeStatsView after_publish = server.stats();
+  EXPECT_EQ(after_publish.snapshots_published, 2);
+  EXPECT_EQ(after_publish.publish_seconds.size(), 2u);
+  EXPECT_GT(after_publish.rows_reused, 0);
+  EXPECT_GT(after_publish.clusters_reused, 0);
+  // The incremental second publish shared its unchanged clusters' arena
+  // blocks instead of copying them; the from-scratch first copied all.
+  EXPECT_GT(after_publish.bytes_shared, 0);
+  EXPECT_GT(after_publish.bytes_copied, 0);
+  EXPECT_EQ(after_publish.generations_retained, 1);
+
+  server.ResetStats();
+  const ServeStatsView reset = server.stats();
+  EXPECT_EQ(reset.snapshots_published, 0);
+  EXPECT_EQ(reset.rows_reused, 0);
+  EXPECT_EQ(reset.bytes_shared, 0);
+  EXPECT_TRUE(reset.publish_seconds.empty());
 }
 
 }  // namespace

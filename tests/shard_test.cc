@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -120,8 +121,6 @@ void ExpectIdenticalStreams(const OnlineAlid& a, const OnlineAlid& b) {
   EXPECT_EQ(sa.refreshes, sb.refreshes);
   EXPECT_EQ(sa.clusters_born, sb.clusters_born);
   EXPECT_EQ(sa.clusters_dissolved, sb.clusters_dissolved);
-  EXPECT_EQ(sa.sketch_prunes, sb.sketch_prunes);
-  EXPECT_EQ(sa.sketch_exact, sb.sketch_exact);
 }
 
 // The smallest key routing to `shard` — explicit-key ingest for the tests
@@ -208,7 +207,7 @@ TEST(ShardTest, SingleShardRouterMatchesDirectSnapshot) {
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response.assignments.size(), 60u);
   for (Index i = 0; i < 60; ++i) {
-    const AssignOutcome expected = direct->Assign(data.data[i]);
+    const QueryOutcome expected = direct->Assign(data.data[i]);
     const ShardAssignment& got = response.assignments[static_cast<size_t>(i)];
     EXPECT_EQ(got.cluster, expected.cluster) << "point " << i;
     EXPECT_EQ(got.affinity, expected.affinity) << "point " << i;
@@ -292,7 +291,7 @@ TEST(ShardTest, RouterMergeMatchesSerialPerShardMerge) {
     ShardAssignment expected;
     expected.generation = gen;
     for (int s = 0; s < 3; ++s) {
-      const AssignOutcome outcome = pinned->shards[s]->Assign(data.data[i]);
+      const QueryOutcome outcome = pinned->shards[s]->Assign(data.data[i]);
       if (outcome.cluster < 0) continue;
       if (expected.cluster < 0 || outcome.margin > expected.margin) {
         static_cast<QueryOutcome&>(expected) = outcome;
@@ -514,6 +513,41 @@ TEST(ShardTest, EmptyShardsHotSpotAndStatusEdges) {
   router.Unpublish();
   EXPECT_EQ(router.Query({.points = center}).status, QueryStatus::kOffline);
   EXPECT_EQ(router.generation(), 0u);
+}
+
+TEST(ShardTest, RouterRejectsNonFiniteQueries) {
+  const int dim = 6;
+  ShardedStreamOptions opts;
+  opts.base = BlobOptions(dim, 1.0);
+  opts.num_shards = 2;
+  ShardedStream stream(dim, opts);
+  const std::vector<Scalar> center(dim, 5.0);
+  stream.InsertBatch(Blob(center, 60, 1.0, 13));
+  stream.Refresh();
+  ShardRouter router(dim, 2);
+  router.PublishFromStream(stream);
+  ASSERT_TRUE(router.Query({.points = center}).ok());
+
+  // A non-finite coordinate is rejected before any shard scores it: the
+  // answer is sized and unassigned, in both modes.
+  for (Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                     std::numeric_limits<Scalar>::infinity()}) {
+    std::vector<Scalar> poisoned = center;
+    poisoned.insert(poisoned.end(), center.begin(), center.end());
+    poisoned[dim + 1] = bad;
+    const ShardedQueryResponse invalid = router.Query({.points = poisoned});
+    EXPECT_EQ(invalid.status, QueryStatus::kInvalidInput);
+    EXPECT_EQ(invalid.generation, 0u);
+    ASSERT_EQ(invalid.assignments.size(), 2u);
+    for (const ShardAssignment& a : invalid.assignments) {
+      EXPECT_EQ(a, ShardAssignment{});
+    }
+    const ShardedQueryResponse ranked =
+        router.Query({.points = poisoned, .top_k = 3});
+    EXPECT_EQ(ranked.status, QueryStatus::kInvalidInput);
+    ASSERT_EQ(ranked.ranked.size(), 2u);
+    for (const auto& r : ranked.ranked) EXPECT_TRUE(r.empty());
+  }
 }
 
 TEST(ShardTest, BoundaryReportFindsSplitClustersOnly) {

@@ -2,6 +2,8 @@
 // bit-identical stream state across executor counts and scheduling
 // disciplines, and the streaming edge cases (empty window, duplicate
 // inserts, remove-then-reinsert, refresh-interval boundaries).
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -57,6 +59,46 @@ std::unique_ptr<OnlineAlid> RunStream(const LabeledData& data,
   return online;
 }
 
+// The shuffled dataset followed by `probes` near-miss arrivals — jittered
+// copies of data rows at 0.5x .. 8x magnitudes, some of which collide with
+// a cluster's LSH buckets while scoring below its absorb threshold.
+std::vector<Scalar> ArrivalMix(const LabeledData& data, Index probes) {
+  const int dim = data.data.dim();
+  Rng rng(5);
+  std::vector<Scalar> flat;
+  for (Index i : rng.Permutation(data.size())) {
+    const auto row = data.data[i];
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  for (Index q = 0; q < probes; ++q) {
+    const auto row =
+        data.data[static_cast<Index>(rng.UniformInt(0, data.size() - 1))];
+    const double magnitude = (1 << (q % 5)) * 0.5;
+    for (int d = 0; d < dim; ++d) {
+      flat.push_back(row[d] + rng.Gaussian() * magnitude);
+    }
+  }
+  return flat;
+}
+
+// Streams a flat arrival sequence as batches of `batch`, then refreshes.
+std::unique_ptr<OnlineAlid> RunFlatStream(const LabeledData& data,
+                                          const OnlineAlidOptions& opts,
+                                          Index batch,
+                                          const std::vector<Scalar>& flat) {
+  const int dim = data.data.dim();
+  auto online = std::make_unique<OnlineAlid>(dim, opts);
+  const Index count = static_cast<Index>(flat.size()) / dim;
+  for (Index begin = 0; begin < count; begin += batch) {
+    const Index size = std::min<Index>(batch, count - begin);
+    online->InsertBatch(std::span<const Scalar>(
+        flat.data() + static_cast<size_t>(begin) * dim,
+        static_cast<size_t>(size) * dim));
+  }
+  online->Refresh();
+  return online;
+}
+
 // Full structural equality of two streams: clusters (order included),
 // per-slot assignment/liveness, and every state-derived counter.
 void ExpectIdenticalStreams(const OnlineAlid& a, const OnlineAlid& b) {
@@ -76,10 +118,8 @@ void ExpectIdenticalStreams(const OnlineAlid& a, const OnlineAlid& b) {
   EXPECT_EQ(sa.refreshes, sb.refreshes);
   EXPECT_EQ(sa.clusters_born, sb.clusters_born);
   EXPECT_EQ(sa.clusters_dissolved, sb.clusters_dissolved);
-  // The sketch filter and the refresh frontier schedule are deterministic
-  // too: their counters are part of the bit-identity contract.
-  EXPECT_EQ(sa.sketch_prunes, sb.sketch_prunes);
-  EXPECT_EQ(sa.sketch_exact, sb.sketch_exact);
+  // The refresh frontier schedule is deterministic too: its counters are
+  // part of the bit-identity contract.
   EXPECT_EQ(sa.refresh_rounds, sb.refresh_rounds);
   EXPECT_EQ(sa.refresh_speculations, sb.refresh_speculations);
   EXPECT_EQ(sa.refresh_conflicts, sb.refresh_conflicts);
@@ -368,6 +408,64 @@ TEST(StreamTest, StatsCountersAddUp) {
   int total = 0;
   for (int bin : histogram) total += bin;
   EXPECT_EQ(total, 6);
+}
+
+TEST(StreamTest, ParallelRefreshSpeculatesAndStaysDeterministic) {
+  // A large unassigned pool at refresh time drives the frontier past 1, so
+  // the map stage actually speculates — and the streamed state must still
+  // be bit-identical across executor counts.
+  LabeledData data = Workload(480, 41);
+  OnlineAlidOptions opts = Options(data);
+  opts.refresh_interval = 400;  // let the pool grow before the first pass
+  const std::vector<Scalar> flat = ArrivalMix(data, 40);
+  std::unique_ptr<OnlineAlid> serial = RunFlatStream(data, opts, 80, flat);
+  EXPECT_GT(serial->stats().refresh_rounds, 0);
+  EXPECT_GT(serial->stats().refresh_speculations, 0);
+  for (int executors : {2, 8}) {
+    ThreadPool pool(executors);
+    OnlineAlidOptions parallel = opts;
+    parallel.pool = &pool;
+    std::unique_ptr<OnlineAlid> streamed =
+        RunFlatStream(data, parallel, 80, flat);
+    SCOPED_TRACE(testing::Message() << "executors=" << executors);
+    ExpectIdenticalStreams(*serial, *streamed);
+    ExpectIdenticalSlots(*serial, *streamed, serial->size());
+  }
+  // frontier = 1 pins the strictly-serial peel; the pool contents it
+  // produces may differ from the speculative schedule's, but it must be
+  // self-consistent across executors too.
+  OnlineAlidOptions pinned = opts;
+  pinned.refresh_frontier = 1;
+  std::unique_ptr<OnlineAlid> pinned_serial =
+      RunFlatStream(data, pinned, 80, flat);
+  EXPECT_EQ(pinned_serial->stats().refresh_speculations, 0);
+  ThreadPool pool(4);
+  pinned.pool = &pool;
+  std::unique_ptr<OnlineAlid> pinned_parallel =
+      RunFlatStream(data, pinned, 80, flat);
+  ExpectIdenticalStreams(*pinned_serial, *pinned_parallel);
+  ExpectIdenticalSlots(*pinned_serial, *pinned_parallel,
+                       pinned_serial->size());
+}
+
+TEST(StreamDeathTest, InsertBatchRejectsNonFiniteArrivals) {
+  // The input contract is checked at the door, before any slot is written
+  // or any coordinate reaches the LSH key cast.
+  LabeledData data = Workload(40);
+  const int dim = data.data.dim();
+  for (Scalar bad : {std::numeric_limits<Scalar>::quiet_NaN(),
+                     std::numeric_limits<Scalar>::infinity(),
+                     -std::numeric_limits<Scalar>::infinity()}) {
+    std::vector<Scalar> flat(data.data.RawRows(0, 3).begin(),
+                             data.data.RawRows(0, 3).end());
+    flat[static_cast<size_t>(dim) + 2] = bad;
+    EXPECT_DEATH(
+        {
+          OnlineAlid online(dim, Options(data));
+          online.InsertBatch(flat);
+        },
+        "AllFinite");
+  }
 }
 
 }  // namespace
