@@ -10,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/trace.h"
-#include "simd/simd_dispatch.h"
 
 namespace alid {
 
@@ -23,7 +22,6 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   ALID_CHECK(options_.window >= 0);
   ALID_CHECK(options_.refresh_interval >= 1);
   ALID_CHECK(options_.refresh_frontier >= 1);
-  simd_norm_ = SimdSupportsNorm(options_.affinity.p);
   oracle_ = std::make_unique<LazyAffinityOracle>(data_, affinity_fn_);
   lsh_ = std::make_unique<LshIndex>(data_, options_.lsh);
 
@@ -115,8 +113,9 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
                    [&](int64_t, int64_t lo, int64_t hi) {
                      ALID_TRACE_SCOPE("stream", "lsh_keys_chunk");
                      for (int64_t k = lo; k < hi; ++k) {
-                       lsh_->ComputeItemKeys(
-                           slots[k], &keys[static_cast<size_t>(k) * tables]);
+                       lsh_->ComputePointKeys(
+                           data_[slots[k]],
+                           &keys[static_cast<size_t>(k) * tables]);
                      }
                    });
   }
@@ -169,9 +168,10 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
     ALID_TRACE_SCOPE("stream", "compact");
     CompactClusters();
   }
-  // Tiles of mutated clusters are rebuilt at batch end — the next batch's
-  // parallel scoring phase reads only fresh ones.
-  RefreshTiles();
+  // Blocks of mutated clusters are resealed at batch end — the next batch's
+  // parallel scoring phase, and any snapshot exported before it, read only
+  // current ones.
+  SealBlocks();
   metrics_.alive->Set(alive());
   metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
   metrics_.batch_seconds.Record(timer.Seconds());
@@ -203,8 +203,7 @@ int OnlineAlid::ScoreArrival(Index slot) const {
   for (Index j : lsh_->QueryByIndex(slot)) {
     if (assignment_[j] >= 0) candidate[assignment_[j]] = 1;
   }
-  const SimdKernelOps& ops = *ActiveSimdOps();
-  const Scalar* query = data_[slot].data();
+  const std::span<const Scalar> query = data_[slot];
   Scalar best_margin = -std::numeric_limits<Scalar>::infinity();
   for (size_t c = 0; c < clusters_.size(); ++c) {
     if (candidate[c] == 0 || cluster_dead_[c] != 0) continue;
@@ -212,18 +211,12 @@ int OnlineAlid::ScoreArrival(Index slot) const {
     // Absorb when (near-)infective: same-cluster arrivals sit at the density
     // (Theorem 1 equality on the support), hence the slack.
     const Scalar threshold = cl.density * (1.0 - options_.absorb_slack);
-    // The vector path needs fresh tiles and a tile kernel for the
-    // configured norm. Either way the sum is bit-identical — the tiles
-    // reproduce the oracle's member-order accumulation exactly — so this is
-    // a speed choice, never a result choice. The newcomer is unassigned, so
-    // no member equals `slot` and the oracle's a_ii = 0 diagonal can never
-    // be hit here.
-    const bool tiles_fresh =
-        simd_norm_ && tiles_[c].built_version == cluster_version_[c];
+    // Scoring runs against the batch-start state, whose blocks the previous
+    // batch end sealed. The newcomer is unassigned, so no member row is the
+    // newcomer's own and the a_ii = 0 diagonal never arises.
+    ALID_DCHECK(blocks_[c].version == cluster_version_[c]);
     const Scalar affinity =
-        tiles_fresh ? SoaWeightedKernelSum(ops, tiles_[c].members, cl.weights,
-                                           affinity_fn_, query)
-                    : ClusterAffinity(cl, slot);
+        BlockAffinity(*blocks_[c].block, affinity_fn_, query);
     const Scalar margin = affinity - threshold;
     if (margin > 0.0 && margin > best_margin) {
       best_margin = margin;
@@ -286,29 +279,28 @@ void OnlineAlid::ApplyArrival(Index slot, int target,
 void OnlineAlid::Refresh() {
   DetectFromPool();
   CompactClusters();
-  RefreshTiles();
+  SealBlocks();
   since_refresh_ = 0;
   metrics_.refreshes->Add(1);
   metrics_.alive->Set(alive());
   metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
 }
 
-void OnlineAlid::RefreshTiles() {
-  if (!simd_norm_) return;
-  ALID_TRACE_SCOPE("stream", "tile_rebuild");
-  // Pure per cluster (member rows in, tiles out), so the sweep chunks on
-  // the shared pool like every other parallel phase; only clusters whose
-  // version moved rebuild, so the cost is O(changed), not O(clusters).
-  // Between batches every cluster's tiles are fresh, so the next parallel
-  // scoring phase runs the vector path throughout.
+void OnlineAlid::SealBlocks() {
+  ALID_TRACE_SCOPE("stream", "seal");
+  // Pure per cluster (member rows in, sealed block out), so the sweep
+  // chunks on the shared pool like every other parallel phase; only
+  // clusters whose version moved reseal, so the cost is O(changed), not
+  // O(clusters).
   ParallelChunks(
       options_.pool, 0, static_cast<int64_t>(clusters_.size()),
       options_.grain, [&](int64_t, int64_t lo, int64_t hi) {
         for (int64_t c = lo; c < hi; ++c) {
-          ClusterTiles& tiles = tiles_[c];
-          if (tiles.built_version == cluster_version_[c]) continue;
-          tiles.members.GatherRows(data_, clusters_[c].members);
-          tiles.built_version = cluster_version_[c];
+          SealedBlock& sealed = blocks_[c];
+          if (sealed.version == cluster_version_[c]) continue;
+          sealed.block =
+              ClusterBlock::Build(data_, clusters_[c], *lsh_, affinity_fn_);
+          sealed.version = cluster_version_[c];
         }
       });
 }
@@ -482,7 +474,7 @@ void OnlineAlid::InstallPoolCluster(Cluster c, const AlidDetector& detector,
   cluster_version_.push_back(0);
   cluster_dead_.push_back(0);
   cluster_uid_.push_back(next_cluster_uid_++);
-  tiles_.emplace_back();
+  blocks_.emplace_back();
   Assign(static_cast<int>(clusters_.size()) - 1);
   metrics_.clusters_born->Add(1);
 }
@@ -558,7 +550,7 @@ void OnlineAlid::CompactClusters() {
   std::vector<Cluster> kept;
   std::vector<uint64_t> kept_versions;
   std::vector<uint64_t> kept_uids;
-  std::vector<ClusterTiles> kept_tiles;
+  std::vector<SealedBlock> kept_blocks;
   kept.reserve(clusters_.size());
   for (size_t c = 0; c < clusters_.size(); ++c) {
     if (cluster_dead_[c] != 0) continue;
@@ -566,12 +558,12 @@ void OnlineAlid::CompactClusters() {
     kept.push_back(std::move(clusters_[c]));
     kept_versions.push_back(cluster_version_[c]);
     kept_uids.push_back(cluster_uid_[c]);
-    kept_tiles.push_back(std::move(tiles_[c]));
+    kept_blocks.push_back(std::move(blocks_[c]));
   }
   clusters_ = std::move(kept);
   cluster_version_ = std::move(kept_versions);
   cluster_uid_ = std::move(kept_uids);
-  tiles_ = std::move(kept_tiles);
+  blocks_ = std::move(kept_blocks);
   cluster_dead_.assign(clusters_.size(), 0);
   for (int& a : assignment_) {
     if (a >= 0) a = remap[a];  // dead clusters hold no assignments

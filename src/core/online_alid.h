@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "core/alid.h"
+#include "core/cluster_block.h"
 #include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
-#include "simd/soa_block.h"
 
 namespace alid {
 
@@ -110,7 +110,7 @@ struct StreamStats {
 /// pool, both pure against the batch-start state, so the streamed state is
 /// bit-identical for every executor count. Absorb scoring sums pi(s_j, x)
 /// exactly over every candidate cluster's support (Theorem 1), through the
-/// cluster's SIMD tiles when the norm has a tile kernel. Absorptions then
+/// cluster's sealed ClusterBlock (BlockAffinity). Absorptions then
 /// apply serially in arrival order: an arrival whose chosen cluster
 /// was mutated earlier in the same batch is re-scored against the cluster's
 /// current state before a *local* re-detection absorbs it. Arrivals
@@ -121,8 +121,10 @@ struct StreamStats {
 /// so the outcome never depends on the executors. Under a sliding window,
 /// batch ingest ends by expiring the oldest items: they leave the LSH
 /// buckets (their slots will be re-used), and every cluster that lost
-/// members is locally re-detected or dissolved. Costs stay local: no global
-/// recomputation ever happens.
+/// members is locally re-detected or dissolved. Every batch (and Refresh)
+/// ends by resealing the block of each cluster whose version moved — the
+/// same immutable blocks serving snapshots share. Costs stay local: no
+/// global recomputation ever happens.
 class OnlineAlid {
  public:
   explicit OnlineAlid(int dim, OnlineAlidOptions options);
@@ -171,9 +173,9 @@ class OnlineAlid {
 
   /// Stable identity of cluster `c` (monotonic birth counter, >= 1;
   /// preserved across re-detections and id compactions). Together with
-  /// cluster_version() this is what lets an incremental snapshot export
-  /// recognize a cluster it already holds: equal (uid, version) across two
-  /// exports means identical members, weights, density and member rows.
+  /// cluster_version() this is what GenerationDiff matches clusters by:
+  /// equal (uid, version) across two exports means identical members,
+  /// weights, density and member rows.
   uint64_t cluster_uid(int c) const {
     return cluster_uid_[static_cast<size_t>(c)];
   }
@@ -183,6 +185,14 @@ class OnlineAlid {
   /// dissolutions).
   uint64_t cluster_version(int c) const {
     return cluster_version_[static_cast<size_t>(c)];
+  }
+
+  /// The sealed block of cluster `c` (rows, weights, LSH keys, tiles,
+  /// verified density), current as of the last InsertBatch / Refresh. The
+  /// pointer stays the same until the cluster's version moves, which is
+  /// what lets snapshots share it across generations.
+  const std::shared_ptr<const ClusterBlock>& cluster_block(int c) const {
+    return blocks_[static_cast<size_t>(c)].block;
   }
 
   /// Stream observability — the streaming counterpart of PalidStats. A
@@ -200,15 +210,11 @@ class OnlineAlid {
   const LazyAffinityOracle& oracle() const { return *oracle_; }
 
  private:
-  // Dimension-major member tiles of one cluster — the vector-kernel mirror
-  // of (members, weights). `built_version` must equal the cluster's
-  // mutation counter or the tiles must not be consulted (the scoring falls
-  // back to the oracle path, which is bit-identical anyway). Rebuilt at
-  // batch end, so the parallel scoring phase only ever reads fresh tiles.
-  struct ClusterTiles {
-    static constexpr uint64_t kUnbuilt = ~uint64_t{0};
-    SoaBlock members;  // member rows, in member order
-    uint64_t built_version = kUnbuilt;
+  // A cluster's sealed block and the cluster version it was sealed at; the
+  // block is current iff `version` equals the cluster's mutation counter.
+  struct SealedBlock {
+    std::shared_ptr<const ClusterBlock> block;
+    uint64_t version = ~uint64_t{0};  // no cluster version: never sealed
   };
 
   // Writes the point into a re-used or appended slot (serial phase).
@@ -218,7 +224,8 @@ class OnlineAlid {
   // recomputed on the apply path whenever the target mutated, so only the
   // choice itself is carried across the phases.
   int ScoreArrival(Index slot) const;
-  // pi(s_j, x) of the newcomer against one cluster's weighted support.
+  // pi(s_j, x) of the newcomer against a cluster's live (possibly not yet
+  // resealed) support — the mid-batch re-score of ApplyArrival.
   Scalar ClusterAffinity(const Cluster& cluster, Index slot) const;
   // Serial per-arrival apply: absorb (re-scoring if the chosen cluster
   // mutated earlier in the batch, per `versions`) and refresh bookkeeping.
@@ -235,9 +242,9 @@ class OnlineAlid {
   // says so, otherwise install as a new cluster.
   void InstallPoolCluster(Cluster cluster, const AlidDetector& detector,
                           std::vector<bool>& exclude);
-  // Rebuilds the tiles of every cluster whose version moved (end of every
-  // batch / refresh, so scoring always sees fresh tiles).
-  void RefreshTiles();
+  // Reseals the block of every cluster whose version moved (end of every
+  // batch / refresh, so scoring and snapshots always see current blocks).
+  void SealBlocks();
   void Assign(int cluster_id);
   // Expires the oldest items down to the window and repairs the clusters
   // they were peeled out of.
@@ -256,20 +263,16 @@ class OnlineAlid {
 
   std::vector<Cluster> clusters_;
   // Mutation counter per cluster id; the batch apply phase re-scores an
-  // arrival whose precomputed target moved since the batch started, and the
-  // incremental snapshot export re-uses clusters whose counter stood still.
+  // arrival whose precomputed target moved since the batch started, and
+  // SealBlocks keeps the blocks of clusters whose counter stood still.
   std::vector<uint64_t> cluster_version_;
   // Stable per-cluster identity (birth order, starting at 1) surviving the
   // id compaction — what snapshot generations match clusters by.
   std::vector<uint64_t> cluster_uid_;
   uint64_t next_cluster_uid_ = 1;
-  // SIMD scoring tiles parallel to clusters_, rebuilt for mutated clusters
-  // at the end of every batch. Never built when the configured norm has no
-  // tile kernel (simd_norm_ below), in which case scoring stays on the
-  // row-major oracle path everywhere.
-  std::vector<ClusterTiles> tiles_;
-  // SimdSupportsNorm(options_.affinity.p), resolved once at construction.
-  bool simd_norm_ = false;
+  // Sealed blocks parallel to clusters_, resealed for mutated clusters at
+  // the end of every batch and refresh.
+  std::vector<SealedBlock> blocks_;
   // Dissolved-in-this-batch markers; compacted away at batch end so public
   // cluster ids stay dense.
   std::vector<uint8_t> cluster_dead_;

@@ -82,17 +82,6 @@ LshIndex::LshIndex(const Dataset& data, LshParams params)
       std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
 }
 
-LshIndex::LshIndex(const Dataset& data, LshParams params, DeferIndexing)
-    : data_(&data), dim_(data.dim()), params_(params) {
-  InitTables();
-  for (const auto& table : tables_) {
-    memory_bytes_ += table.projections.size() * sizeof(Scalar);
-    memory_bytes_ += table.offsets.size() * sizeof(Scalar);
-  }
-  charge_ =
-      std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
-}
-
 LshIndex::LshIndex(int dim, LshParams params)
     : data_(nullptr), dim_(dim), params_(params) {
   ALID_CHECK(dim_ > 0);
@@ -105,26 +94,16 @@ LshIndex::LshIndex(int dim, LshParams params)
       std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
 }
 
-void LshIndex::AppendItem(Index i) {
-  ALID_CHECK_MSG(i == indexed_count_, "items must be appended in order");
-  std::vector<uint64_t> keys(tables_.size());
-  ComputeItemKeys(i, keys.data());
-  InsertItemWithKeys(i, keys);
-}
-
-void LshIndex::ComputeItemKeys(Index i, uint64_t* out) const {
-  ALID_CHECK(data_ != nullptr);
-  ALID_CHECK(i >= 0 && i < data_->size());
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    out[t] = HashPoint(tables_[t], (*data_)[i]);
-  }
-}
-
 void LshIndex::ComputePointKeys(std::span<const Scalar> point,
                                 uint64_t* out) const {
   for (size_t t = 0; t < tables_.size(); ++t) {
     out[t] = HashPoint(tables_[t], point);
   }
+}
+
+void LshIndex::ItemKeys(Index i, uint64_t* out) const {
+  ALID_CHECK(i >= 0 && i < indexed_count_ && removed_[i] == 0);
+  for (size_t t = 0; t < tables_.size(); ++t) out[t] = tables_[t].item_key[i];
 }
 
 void LshIndex::InsertItemWithKeys(Index i, std::span<const uint64_t> keys) {

@@ -36,23 +36,11 @@ struct LshParams {
 /// queries by item index need no re-hashing.
 class LshIndex {
  public:
-  /// Tag selecting the deferred-indexing constructor below.
-  enum class DeferIndexing { kDeferred };
-
   LshIndex(const Dataset& data, LshParams params);
 
-  /// Builds the tables (projections and offsets seeded from params) WITHOUT
-  /// hashing any of `data`'s current rows: the caller inserts every item
-  /// itself through InsertItemWithKeys, with keys either computed via
-  /// ComputeItemKeys or carried over from an earlier index built with the
-  /// same params (the incremental snapshot export re-uses an unchanged
-  /// cluster's keys this way). Inserting items 0..n-1 in order with their
-  /// own keys yields an index identical to the hashing constructor.
-  LshIndex(const Dataset& data, LshParams params, DeferIndexing);
-
   /// Dataset-free deferred index of the given dimensionality: the tables
-  /// (projections and offsets) are seeded exactly as in the other
-  /// constructors, but no Dataset is attached — items enter only through
+  /// (projections and offsets) are seeded exactly as in the hashing
+  /// constructor, but no Dataset is attached — items enter only through
   /// InsertItemWithKeys with keys the caller computed (ComputePointKeys) or
   /// inherited from an earlier index built with the same params. This is the
   /// serving snapshot's mode: member rows live in refcounted arena blocks
@@ -69,32 +57,32 @@ class LshIndex {
   const LshParams& params() const { return params_; }
   int num_tables() const { return params_.num_tables; }
   /// Number of item slots the tables know about (== dataset size unless the
-  /// dataset grew and AppendItem was not yet called for the new rows).
-  /// Removed slots still count; see live_count().
+  /// dataset grew and InsertItemWithKeys was not yet called for the new
+  /// rows). Removed slots still count; see live_count().
   Index size() const { return indexed_count_; }
   /// Items currently present in the buckets (size() minus removed slots).
   Index live_count() const { return live_count_; }
 
-  /// Hashes the data point with index `i` (which must already exist in the
-  /// underlying Dataset, appended after this index was built) into every
-  /// table. Enables the streaming extension (OnlineAlid): the index grows
-  /// with the dataset instead of being rebuilt.
-  void AppendItem(Index i);
-
-  /// Pure per-item hashing: writes item i's bucket key for every table into
-  /// out[0 .. num_tables()). Thread-safe — OnlineAlid's batch ingest hashes
-  /// a whole arrival batch in parallel with this and applies the mutations
-  /// serially through InsertItemWithKeys. Requires an attached Dataset.
-  void ComputeItemKeys(Index i, uint64_t* out) const;
-
   /// Pure hashing of an arbitrary point (point.size() == the index's
   /// dimensionality): writes its bucket key for every table into
-  /// out[0 .. num_tables()). Exactly the HashPoint that ComputeItemKeys and
-  /// QueryByPoint run, so keys computed from a copied row equal keys
-  /// computed from the original dataset row — the property that lets arena
-  /// blocks carry their members' keys across snapshot generations.
-  /// Thread-safe; works in dataset-free mode.
+  /// out[0 .. num_tables()). Exactly the HashPoint that the hashing
+  /// constructor and QueryByPoint run, so keys computed from a copied row
+  /// equal keys computed from the original dataset row — the property that
+  /// lets cluster blocks carry their members' keys into snapshots.
+  /// Thread-safe — OnlineAlid's batch ingest hashes a whole arrival batch in
+  /// parallel with this and applies the mutations serially through
+  /// InsertItemWithKeys; works in dataset-free mode.
   void ComputePointKeys(std::span<const Scalar> point, uint64_t* out) const;
+
+  /// The bucket keys item i was inserted with, one per table, into
+  /// out[0 .. num_tables()) — what ComputePointKeys returns for its current
+  /// row, without re-hashing. REQUIRES: i is indexed and not
+  /// removed. Thread-safe against concurrent readers.
+  void ItemKeys(Index i, uint64_t* out) const;
+
+  /// True iff this index hashes the rows of `data` (false in dataset-free
+  /// mode), i.e. ItemKeys(i) are the keys of data[i].
+  bool Indexes(const Dataset& data) const { return data_ == &data; }
 
   /// Inserts item i with precomputed keys: either the next append slot
   /// (i == size()) or a previously removed slot whose dataset row was

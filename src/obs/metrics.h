@@ -102,7 +102,7 @@ class MetricsRegistry {
 
   /// The process-wide registry. Pre-populated with both MemoryTracker
   /// spaces (memory_current_bytes / memory_peak_bytes; the snapshot-arena
-  /// space registers itself from serve/snapshot_arena.cc) and the trace
+  /// space registers itself from core/cluster_block.cc) and the trace
   /// recorder's buffered/dropped event gauges.
   static MetricsRegistry& Global();
 

@@ -153,12 +153,18 @@ uint64_t ClusterServer::generation() const {
 }
 
 QueryResponse ClusterServer::Query(const QueryRequest& request) const {
-  ALID_CHECK(request.points.size() % static_cast<size_t>(dim_) == 0);
-  ALID_CHECK(request.top_k >= 0);
-  const Index count = static_cast<Index>(request.points.size() / dim_);
   QueryResponse response;
+  if (request.points.size() % static_cast<size_t>(dim_) != 0 ||
+      request.top_k < 0) {
+    // No point count to size an answer by (or no mode to answer in).
+    response.status = QueryStatus::kInvalidInput;
+    stats_.RecordInvalid();
+    return response;
+  }
+  const Index count = static_cast<Index>(request.points.size() / dim_);
   if (!AllFinite(request.points)) {
     response.status = QueryStatus::kInvalidInput;
+    stats_.RecordInvalid();
     if (request.top_k > 0) {
       response.ranked.resize(static_cast<size_t>(count));
     } else {

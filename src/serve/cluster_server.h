@@ -59,8 +59,10 @@ enum class QueryStatus {
   /// The addressed generation is neither current nor retained in the
   /// history ring.
   kGenerationUnavailable = 2,
-  /// Some coordinate of the request is NaN or infinite: nothing is scored,
-  /// every point answers unassigned, generation 0.
+  /// The request is malformed, generation 0 and nothing scored: a point
+  /// buffer that is not a multiple of dim or a negative top_k answers
+  /// empty; a NaN or infinite coordinate answers every point unassigned.
+  /// Each one counts in the server's `query_invalid` registry counter.
   kInvalidInput = 3,
 };
 
@@ -117,8 +119,9 @@ struct GenerationDiffResult {
 /// last in-flight reader. The write side (an ingest/refresh loop) mutates
 /// nothing the readers touch: it builds a fresh snapshot off-line and
 /// publishes it in one pointer swap. Because consecutive snapshots share
-/// their unchanged clusters' arena blocks, both the publish and the ring
-/// cost O(changed bytes), not O(window).
+/// their unchanged clusters' sealed blocks, the ring costs O(changed
+/// bytes), not O(window), and a publish moves no payload bytes (it still
+/// rebuilds the per-snapshot LSH index over every member).
 ///
 /// The publication cell implements std::atomic<std::shared_ptr> semantics
 /// (P0718: linearizable store, acquire loads) over a reader-writer lock

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <numeric>
-#include <unordered_map>
+#include <unordered_set>
 
-#include "affinity/lazy_affinity_oracle.h"
 #include "common/check.h"
 #include "common/epoch_stamp.h"
 #include "common/parallel.h"
@@ -33,260 +31,104 @@ QueryScratch& Scratch() {
 
 }  // namespace
 
-bool ClusterSnapshot::CompatibleWith(const ClusterSnapshotOptions& options,
-                                     int dim) const {
-  const AffinityParams& a = affinity_fn_->params();
-  const LshParams& l = lsh_->params();
-  return this->dim() == dim && absorb_slack_ == options.absorb_slack &&
-         a.k == options.affinity.k && a.p == options.affinity.p &&
-         l.num_tables == options.lsh.num_tables &&
-         l.num_projections == options.lsh.num_projections &&
-         l.segment_length == options.lsh.segment_length &&
-         l.seed == options.lsh.seed;
+ClusterSnapshot::ClusterSnapshot(int dim,
+                                 const ClusterSnapshotOptions& options,
+                                 uint64_t generation)
+    : dim_(dim),
+      absorb_slack_(options.absorb_slack),
+      affinity_fn_(options.affinity),
+      lsh_(dim, options.lsh),
+      generation_(generation) {
+  ALID_CHECK(options.absorb_slack >= 0.0 && options.absorb_slack < 1.0);
 }
 
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromClusters(
     const Dataset& data, std::span<const Cluster> clusters,
     const ClusterSnapshotOptions& options, uint64_t generation) {
-  return Build(data, clusters, options, generation, nullptr);
-}
-
-std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::Build(
-    const Dataset& data, std::span<const Cluster> clusters,
-    const ClusterSnapshotOptions& options, uint64_t generation,
-    const StreamIdentity* identity) {
   ALID_CHECK(data.dim() > 0);
-  ALID_CHECK(options.absorb_slack >= 0.0 && options.absorb_slack < 1.0);
   ALID_TRACE_SCOPE("publish", "build");
   WallTimer build_timer;
-  std::shared_ptr<ClusterSnapshot> snap(new ClusterSnapshot());
-  const int dim = data.dim();
-  snap->dim_ = dim;
-  snap->generation_ = generation;
-  snap->absorb_slack_ = options.absorb_slack;
-  snap->affinity_fn_ = std::make_unique<AffinityFunction>(options.affinity);
-
-  const int num_clusters = static_cast<int>(clusters.size());
-  const int tables = options.lsh.num_tables;
-  const OnlineAlid* stream =
-      identity != nullptr ? identity->stream : nullptr;
-  const ClusterSnapshot* prev =
-      identity != nullptr ? identity->previous : nullptr;
-
-  // Incremental re-use plan: a cluster whose stream (uid, version) pair
-  // matches a cluster of the previous snapshot is provably unchanged (every
-  // membership/weight/density mutation — and every member-row overwrite,
-  // which expiry precedes — bumps the stream's version counter), so its
-  // arena block is shared by refcount. Everything in the block is a pure
-  // function of the cluster's members and weights, hence the shared block is
-  // bit-identical to what a from-scratch build would recompute.
-  std::vector<int> reuse_from(static_cast<size_t>(num_clusters), -1);
-  if (stream != nullptr) {
-    snap->src_uid_.resize(static_cast<size_t>(num_clusters));
-    snap->src_version_.resize(static_cast<size_t>(num_clusters));
-    for (int c = 0; c < num_clusters; ++c) {
-      snap->src_uid_[c] = stream->cluster_uid(c);
-      snap->src_version_[c] = stream->cluster_version(c);
-    }
-    if (prev != nullptr && prev->CompatibleWith(options, dim)) {
-      std::unordered_map<uint64_t, int> prev_by_uid;
-      prev_by_uid.reserve(prev->src_uid_.size());
-      for (size_t p = 0; p < prev->src_uid_.size(); ++p) {
-        if (prev->src_uid_[p] != 0) {
-          prev_by_uid.emplace(prev->src_uid_[p], static_cast<int>(p));
-        }
-      }
-      for (int c = 0; c < num_clusters; ++c) {
-        if (snap->src_uid_[c] == 0) continue;
-        const auto it = prev_by_uid.find(snap->src_uid_[c]);
-        if (it != prev_by_uid.end() &&
-            prev->src_version_[it->second] == snap->src_version_[c]) {
-          reuse_from[c] = it->second;
-        }
-      }
-    }
-  } else {
-    snap->src_uid_.assign(static_cast<size_t>(num_clusters), 0);
-    snap->src_version_.assign(static_cast<size_t>(num_clusters), 0);
-  }
-
-  // Block fill, cluster-major: an unchanged cluster *shares* the previous
-  // snapshot's sealed arena block (a refcount bump — zero bytes moved);
-  // a changed one materializes a fresh block and gathers its rows from the
-  // source. `fresh` keeps the mutable handle of every new block for the
-  // build passes below; once Build returns, only const references remain.
-  snap->blocks_.resize(static_cast<size_t>(num_clusters));
-  std::vector<std::shared_ptr<ClusterBlock>> fresh(
-      static_cast<size_t>(num_clusters));
+  std::shared_ptr<ClusterSnapshot> snap(
+      new ClusterSnapshot(data.dim(), options, generation));
+  // One sealed block per cluster, built in parallel (each build is pure),
+  // hashed with the snapshot's own index so the carried keys are its keys.
+  std::vector<std::shared_ptr<const ClusterBlock>> blocks(clusters.size());
   {
-    ALID_TRACE_SCOPE("publish", "block_fill");
-    snap->cluster_begin_.push_back(0);
-    for (int c = 0; c < num_clusters; ++c) {
-      const Cluster& cluster = clusters[c];
-      ALID_CHECK(cluster.members.size() == cluster.weights.size());
-      const Index count = static_cast<Index>(cluster.members.size());
-      const int p = reuse_from[c];
-      if (p >= 0) {
-        // The reuse branch is a refcount bump; the span distinguishing it
-        // from a gather is the accounting in build_info_, not a trace event.
-        const std::shared_ptr<const ClusterBlock>& block = prev->blocks_[p];
-        ALID_CHECK(block->count == count);
-        snap->blocks_[c] = block;
-        snap->build_info_.bytes_shared +=
-            static_cast<int64_t>(block->MemoryBytes());
-        snap->build_info_.rows_reused += count;
-        ++snap->build_info_.clusters_reused;
-      } else {
-        ALID_TRACE_SCOPE("publish", "block_gather");
-        auto block = std::make_shared<ClusterBlock>();
-        block->count = count;
-        block->dim = dim;
-        block->keys_per_member = tables;
-        block->rows.resize(static_cast<size_t>(count) * dim);
-        block->weights.resize(static_cast<size_t>(count));
-        block->source_ids.resize(static_cast<size_t>(count));
-        block->member_keys.resize(static_cast<size_t>(count) * tables);
-        for (Index t = 0; t < count; ++t) {
-          const Index source = cluster.members[t];
-          ALID_CHECK(source >= 0 && source < data.size());
-          const std::span<const Scalar> row = data[source];
-          std::copy(row.begin(), row.end(),
-                    block->rows.begin() + static_cast<size_t>(t) * dim);
-          block->weights[t] = cluster.weights[t];
-          block->source_ids[t] = source;
-        }
-        snap->blocks_[c] = block;
-        fresh[c] = std::move(block);
-        snap->build_info_.rows_rebuilt += count;
-      }
-      for (Index t = 0; t < count; ++t) {
-        snap->cluster_of_.push_back(c);
-      }
-      snap->cluster_begin_.push_back(snap->cluster_begin_.back() + count);
-      snap->density_.push_back(cluster.density);
-      snap->seed_.push_back(cluster.seed);
-    }
-  }
-  snap->build_info_.clusters_total = num_clusters;
-
-  // Per-snapshot LSH index over the global member positions, dataset-free
-  // (the rows live in the blocks): shared clusters re-insert their
-  // inherited keys, fresh clusters hash their block rows in a deterministic
-  // parallel pass, and the serial 0..M-1 insertion then reproduces exactly
-  // the buckets an eager index over the same rows would have built (same
-  // params => same projections as the source index, so point queries land
-  // in equivalent buckets).
-  {
-    ALID_TRACE_SCOPE("publish", "lsh");
-    snap->lsh_ = std::make_unique<LshIndex>(dim, options.lsh);
-    ParallelChunks(options.pool, 0, num_clusters, options.grain,
-                   [&snap, &fresh](int64_t, int64_t lo, int64_t hi) {
+    ALID_TRACE_SCOPE("publish", "block_build");
+    ParallelChunks(options.pool, 0, static_cast<int64_t>(clusters.size()),
+                   options.grain, [&](int64_t, int64_t lo, int64_t hi) {
                      for (int64_t c = lo; c < hi; ++c) {
-                       ClusterBlock* block = fresh[c].get();
-                       if (block == nullptr) continue;  // keys inherited
-                       const size_t tables = static_cast<size_t>(
-                           snap->lsh_->num_tables());
-                       for (Index m = 0; m < block->count; ++m) {
-                         snap->lsh_->ComputePointKeys(
-                             block->row(m),
-                             &block->member_keys[static_cast<size_t>(m) *
-                                                 tables]);
-                       }
-                     }
-                   });
-    for (int c = 0; c < num_clusters; ++c) {
-      const ClusterBlock& block = *snap->blocks_[c];
-      const Index begin = snap->cluster_begin_[c];
-      for (Index m = 0; m < block.count; ++m) {
-        snap->lsh_->InsertItemWithKeys(
-            begin + m,
-            std::span<const uint64_t>(
-                block.member_keys.data() + static_cast<size_t>(m) * tables,
-                static_cast<size_t>(tables)));
-      }
-    }
-  }
-
-  // Verify each fresh cluster's density from the build's own kernel
-  // entries: x^T A x over the exported support, through a build-scratch
-  // delta dataset (the fresh clusters' rows only) and lazy oracle, one
-  // gathered column A_{support, t} per member t. The kernel is symmetric, so
-  // column[u] is the (t, u) entry and the sum keeps the (t, u) order. Per-
-  // cluster sums run serially in a fixed order inside deterministic chunks,
-  // so the values are bit-identical for any pool width or grain — and for a
-  // shared cluster, bit-identical to the predecessor's value its block
-  // carries, which is why this pass may skip it. The scratch dataset and
-  // oracle die with this scope: only the verified densities (in the blocks)
-  // survive, so the snapshot holds no second copy of any member row.
-  {
-    ALID_TRACE_SCOPE("publish", "verify_density");
-    Dataset delta(dim);
-    std::vector<Index> delta_begin(static_cast<size_t>(num_clusters), -1);
-    for (int c = 0; c < num_clusters; ++c) {
-      if (fresh[c] == nullptr) continue;
-      delta_begin[c] = delta.size();
-      delta.AppendRaw(std::span<const Scalar>(fresh[c]->rows.data(),
-                                              fresh[c]->rows.size()));
-    }
-    if (!delta.empty()) {
-      const LazyAffinityOracle oracle(delta, *snap->affinity_fn_);
-      ParallelChunks(
-          options.pool, 0, num_clusters, options.grain,
-          [&fresh, &delta_begin, &oracle](int64_t, int64_t lo, int64_t hi) {
-            for (int64_t c = lo; c < hi; ++c) {
-              ClusterBlock* block = fresh[c].get();
-              if (block == nullptr) continue;
-              IndexList support(static_cast<size_t>(block->count));
-              std::iota(support.begin(), support.end(), delta_begin[c]);
-              Scalar density = 0.0;
-              for (Index t = 0; t < block->count; ++t) {
-                const std::vector<Scalar> column =
-                    oracle.Column(support, support[t]);
-                for (Index u = 0; u < block->count; ++u) {
-                  density += block->weights[t] * block->weights[u] * column[u];
-                }
-              }
-              block->verified_density = density;
-            }
-          });
-    }
-  }
-
-  // Vector-kernel tiles (see snapshot_arena.h): dimension-major copies of
-  // every fresh cluster's member block, skipped entirely when the norm has
-  // no tile kernel. Pure per cluster, so the pass chunks on the build pool
-  // like the others; a shared block's tiles ride along with the block (a
-  // compatible predecessor was built under the same norm, so they exist
-  // and are bit-identical to a rebuild from the same rows).
-  snap->simd_norm_ = SimdSupportsNorm(options.affinity.p);
-  if (snap->simd_norm_) {
-    ALID_TRACE_SCOPE("publish", "soa_tiles");
-    ParallelChunks(options.pool, 0, num_clusters, options.grain,
-                   [&fresh, dim](int64_t, int64_t lo, int64_t hi) {
-                     for (int64_t c = lo; c < hi; ++c) {
-                       ClusterBlock* block = fresh[c].get();
-                       if (block == nullptr) continue;
-                       block->cluster_soa.FromRowMajor(block->rows.data(),
-                                                       block->count, dim);
+                       blocks[c] = ClusterBlock::Build(data, clusters[c],
+                                                       snap->lsh_,
+                                                       snap->affinity_fn_);
                      }
                    });
   }
-
-  // Every fresh block is complete: seal it — charging its bytes to the
-  // global tracker and the arena's resource space exactly once — and count
-  // what this build materialized vs. shared.
-  {
-    ALID_TRACE_SCOPE("publish", "seal");
-    for (int c = 0; c < num_clusters; ++c) {
-      if (fresh[c] == nullptr) continue;
-      fresh[c]->Seal();
-      snap->build_info_.bytes_copied +=
-          static_cast<int64_t>(fresh[c]->MemoryBytes());
-    }
-  }
-
+  snap->Assemble(clusters, std::move(blocks), nullptr);
   snap->build_info_.build_seconds = build_timer.Seconds();
   return snap;
+}
+
+void ClusterSnapshot::Assemble(
+    std::span<const Cluster> clusters,
+    std::vector<std::shared_ptr<const ClusterBlock>> blocks,
+    const ClusterSnapshot* previous) {
+  ALID_CHECK(blocks.size() == clusters.size());
+  const int num_clusters = static_cast<int>(clusters.size());
+  blocks_ = std::move(blocks);
+  // Sources without stream identity (FromClusters) carry (0, 0).
+  src_uid_.resize(static_cast<size_t>(num_clusters), 0);
+  src_version_.resize(static_cast<size_t>(num_clusters), 0);
+  std::unordered_set<const ClusterBlock*> previous_blocks;
+  if (previous != nullptr) {
+    for (const auto& block : previous->blocks_) {
+      previous_blocks.insert(block.get());
+    }
+  }
+  {
+    ALID_TRACE_SCOPE("publish", "block_fill");
+    cluster_begin_.push_back(0);
+    for (int c = 0; c < num_clusters; ++c) {
+      const ClusterBlock& block = *blocks_[c];
+      ALID_CHECK(block.dim == dim_ &&
+                 block.keys_per_member == lsh_.num_tables());
+      ALID_CHECK(static_cast<size_t>(block.count) ==
+                 clusters[c].members.size());
+      const int64_t bytes = static_cast<int64_t>(block.MemoryBytes());
+      if (previous_blocks.contains(&block)) {
+        build_info_.bytes_shared += bytes;
+        build_info_.rows_reused += block.count;
+        ++build_info_.clusters_reused;
+      } else {
+        build_info_.bytes_copied += bytes;
+        build_info_.rows_rebuilt += block.count;
+      }
+      cluster_of_.insert(cluster_of_.end(), static_cast<size_t>(block.count),
+                         c);
+      cluster_begin_.push_back(cluster_begin_.back() + block.count);
+      density_.push_back(clusters[c].density);
+      seed_.push_back(clusters[c].seed);
+    }
+  }
+  build_info_.clusters_total = num_clusters;
+
+  // The per-snapshot index over the global member positions, dataset-free
+  // (the rows live in the blocks): the serial 0..M-1 insertion of the
+  // carried keys reproduces exactly the buckets an eager index over the
+  // same rows would have built (same params => same projections as the
+  // source index, so point queries land in equivalent buckets).
+  ALID_TRACE_SCOPE("publish", "lsh");
+  const size_t tables = static_cast<size_t>(lsh_.num_tables());
+  for (int c = 0; c < num_clusters; ++c) {
+    const ClusterBlock& block = *blocks_[c];
+    for (Index m = 0; m < block.count; ++m) {
+      lsh_.InsertItemWithKeys(
+          cluster_begin_[c] + m,
+          std::span<const uint64_t>(
+              block.member_keys.data() + static_cast<size_t>(m) * tables,
+              tables));
+    }
+  }
 }
 
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromDetection(
@@ -296,45 +138,37 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromDetection(
 }
 
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
-    const OnlineAlid& stream, ThreadPool* pool,
+    const OnlineAlid& stream, ThreadPool* /*pool*/,
     std::shared_ptr<const ClusterSnapshot> previous) {
   ALID_TRACE_SCOPE("publish", "from_stream");
+  ALID_TRACE_SCOPE("publish", "build");
+  WallTimer build_timer;
   ClusterSnapshotOptions options;
   options.affinity = stream.options().affinity;
   options.lsh = stream.options().lsh;
   options.absorb_slack = stream.options().absorb_slack;
-  options.pool = pool;
-  options.grain = stream.options().grain;
-  StreamIdentity identity;
-  identity.stream = &stream;
-  identity.previous = previous.get();
-  return Build(stream.oracle().data(), stream.clusters(), options,
-               static_cast<uint64_t>(stream.size()), &identity);
-}
-
-Scalar ClusterSnapshot::ClusterAffinity(int c,
-                                        std::span<const Scalar> point) const {
-  const ClusterBlock& block = *blocks_[c];
-  if (simd_norm_) {
-    // Same member-order accumulation through the dimension-major tiles —
-    // bit-identical to the row-major loop below (see simd/soa_block.h).
-    return SoaWeightedKernelSum(*ActiveSimdOps(), block.cluster_soa,
-                                block.weights_span(), *affinity_fn_,
-                                point.data());
+  std::shared_ptr<ClusterSnapshot> snap(new ClusterSnapshot(
+      stream.oracle().data().dim(), options,
+      static_cast<uint64_t>(stream.size())));
+  // The stream's sealed blocks, shared as they are: they were built from
+  // the same rows with the same LSH params and kernel this snapshot uses.
+  const int num_clusters = static_cast<int>(stream.clusters().size());
+  std::vector<std::shared_ptr<const ClusterBlock>> blocks;
+  blocks.reserve(static_cast<size_t>(num_clusters));
+  for (int c = 0; c < num_clusters; ++c) {
+    blocks.push_back(stream.cluster_block(c));
+    snap->src_uid_.push_back(stream.cluster_uid(c));
+    snap->src_version_.push_back(stream.cluster_version(c));
   }
-  const double p = affinity_fn_->params().p;
-  Scalar affinity = 0.0;  // pi(s_c, x), in member order (see header)
-  for (Index t = 0; t < block.count; ++t) {
-    affinity += block.weights[t] *
-                affinity_fn_->FromDistance(LpDistance(block.row(t), point, p));
-  }
-  return affinity;
+  snap->Assemble(stream.clusters(), std::move(blocks), previous.get());
+  snap->build_info_.build_seconds = build_timer.Seconds();
+  return snap;
 }
 
 const std::vector<Index>& ClusterSnapshot::CandidateMembers(
     std::span<const Scalar> point) const {
   QueryScratch& scratch = Scratch();
-  lsh_->QueryByPoint(point, &scratch.hits);
+  lsh_.QueryByPoint(point, &scratch.hits);
   scratch.candidates.Begin(static_cast<size_t>(num_clusters()));
   for (Index j : scratch.hits) {
     scratch.candidates.Mark(static_cast<size_t>(cluster_of_[j]));
@@ -347,7 +181,7 @@ void ClusterSnapshot::ScoreCandidate(int c, std::span<const Scalar> point,
                                      QueryOutcome* best) const {
   // Absorb when (near-)infective — the same slack rule, threshold and
   // lowest-id tie-break as the stream's ScoreArrival.
-  const Scalar affinity = ClusterAffinity(c, point);
+  const Scalar affinity = BlockAffinity(*blocks_[c], affinity_fn_, point);
   const Scalar margin = affinity - density_[c] * (1.0 - absorb_slack_);
   if (margin > 0.0 && margin > *best_margin) {
     *best_margin = margin;
@@ -429,7 +263,7 @@ std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
     if (!scratch.candidates.IsMarked(static_cast<size_t>(c))) continue;
     ScoredCluster entry;
     entry.cluster = c;
-    entry.affinity = ClusterAffinity(c, point);
+    entry.affinity = BlockAffinity(*blocks_[c], affinity_fn_, point);
     entry.margin = entry.affinity - density_[c] * (1.0 - absorb_slack_);
     entry.generation = generation_;
     entry.absorbable = entry.margin > 0.0;

@@ -10,8 +10,7 @@
 #include "common/dataset.h"
 #include "core/cluster.h"
 #include "lsh/lsh_index.h"
-#include "serve/snapshot_arena.h"
-#include "simd/soa_block.h"
+#include "core/cluster_block.h"
 
 namespace alid {
 
@@ -31,28 +30,26 @@ struct ClusterSnapshotOptions {
   LshParams lsh;
   /// Absorb slack of the assignment rule (see OnlineAlidOptions).
   double absorb_slack = 0.05;
-  /// Optional pool for the build's parallel passes (LSH key computation and
-  /// the density verification; build-time only — queries never touch it).
+  /// Optional pool for FromClusters' block builds (one ClusterBlock::Build
+  /// per cluster; build-time only — queries never touch it).
   ThreadPool* pool = nullptr;
-  /// Chunk grain of the build's parallel passes; 0 auto.
+  /// Chunk grain of the block builds; 0 auto.
   int64_t grain = 0;
 };
 
-/// Cost accounting of one snapshot build — what the incremental export
-/// (FromStream with a previous snapshot) actually saved.
+/// Cost accounting of one snapshot build — what it shares with the
+/// previous snapshot (FromStream with a previous snapshot) and what is new.
 struct SnapshotBuildInfo {
   int clusters_total = 0;
-  /// Clusters inherited wholesale from the previous snapshot: their arena
-  /// blocks (member rows, weights, LSH keys, verified density, SoA tiles)
-  /// moved as shared refcount bumps because the stream's
-  /// (uid, version) pair proved them unchanged.
+  /// Clusters whose block the previous snapshot already held (the same
+  /// pointer): the stream did not reseal them since that export.
   int clusters_reused = 0;
-  Index rows_reused = 0;    ///< Member rows shared from the predecessor.
-  Index rows_rebuilt = 0;   ///< Member rows gathered + re-hashed from source.
-  /// Arena-block bytes this build *shared* with its predecessor (refcount
-  /// bumps — no copy, no new charge) vs. bytes it newly materialized and
-  /// charged. bytes_shared > 0 on a steady-state incremental publish is the
-  /// O(changed-bytes) property CI gates on.
+  Index rows_reused = 0;    ///< Member rows in blocks shared with it.
+  Index rows_rebuilt = 0;   ///< Member rows in blocks new to this build.
+  /// Block bytes this build *shared* with its predecessor vs. bytes in
+  /// blocks the predecessor did not hold (sealed since by the stream, or
+  /// built here by FromClusters). bytes_shared > 0 on a steady-state
+  /// incremental publish is the O(changed-bytes) property CI gates on.
   int64_t bytes_shared = 0;
   int64_t bytes_copied = 0;
   double build_seconds = 0.0;
@@ -95,9 +92,9 @@ struct ClusterSnapshotInfo {
   int cluster = -1;  ///< -1 when the queried id was out of range.
   Index size = 0;
   Scalar density = 0.0;
-  /// x^T A x recomputed from the snapshot build's own kernel entries
-  /// (one gathered oracle column per member) — an integrity check that the
-  /// exported supports and the reported density describe the same simplex.
+  /// x^T A x recomputed from the cluster block's own kernel entries (one
+  /// distance column per member) — an integrity check that the exported
+  /// supports and the reported density describe the same simplex.
   Scalar verified_density = 0.0;
   Index seed = -1;     ///< Source id of the detection seed.
   IndexList members;   ///< Source ids (dataset rows / stream slots).
@@ -106,13 +103,13 @@ struct ClusterSnapshotInfo {
 
 /// An immutable, self-contained view of one detection state, built for
 /// serving: every dominant cluster's payload (compacted member rows, simplex
-/// weights, source ids, per-member LSH keys, SoA tiles)
-/// lives in a refcounted arena block (see snapshot_arena.h), plus a
-/// per-snapshot LSH index over the members for candidate retrieval. The
-/// incremental export *shares* an unchanged cluster's block with the
-/// predecessor snapshot instead of copying it, so consecutive generations
-/// cost only their changed bytes — and a server's history ring of old
-/// generations is nearly free. Every query method is const, touches only
+/// weights, source ids, per-member LSH keys, SoA tiles) lives in a sealed
+/// refcounted ClusterBlock (see core/cluster_block.h), plus a per-snapshot
+/// LSH index over the members for candidate retrieval. A stream export
+/// holds the stream's own blocks, so consecutive generations share every
+/// unchanged cluster's block instead of copying it — publish costs only the
+/// per-snapshot index, and a server's history ring of old generations is
+/// nearly free. Every query method is const, touches only
 /// snapshot-owned state plus thread-local scratch, and is therefore safe for
 /// any number of concurrent readers — the read side of the serving
 /// subsystem's RCU design.
@@ -134,19 +131,18 @@ class ClusterSnapshot {
   /// Exports the live state of a stream. Affinity/LSH parameters and absorb
   /// slack are taken from the stream's own options, so Assign reproduces
   /// the stream's absorb decision bit for bit; the generation is the
-  /// stream's arrival count. The stream must not be mutated during the
-  /// export (the ingest loop exports between batches); afterwards the
-  /// snapshot is fully decoupled.
+  /// stream's arrival count. The export copies the stream's sealed block
+  /// pointers (OnlineAlid::cluster_block) and indexes their carried LSH
+  /// keys — no row gather, hashing, tiling or density verification runs
+  /// here. The stream must not be mutated during the export (the ingest
+  /// loop exports between batches); afterwards the snapshot is fully
+  /// decoupled, since sealed blocks never change.
   ///
-  /// `previous` enables the incremental export: any cluster whose stream
-  /// (uid, version) pair matches a cluster of the previous snapshot — which
-  /// proves its members, weights, density and member rows did not change —
-  /// *shares* that snapshot's arena block (rows, weights, per-member LSH
-  /// keys, verified density, SoA tiles) by refcount instead of
-  /// gathering, re-hashing and re-verifying, turning publish cost from
-  /// O(window) into O(changed bytes). The result is deep-equal to a
-  /// from-scratch build (the property tests pin this every generation); pass
-  /// nullptr for the from-scratch behavior.
+  /// `previous` only feeds the accounting: a block counts as shared
+  /// (build_info) iff `previous` holds the same pointer. `pool` is unused
+  /// (the export has no parallel pass) and stays for existing callers. The
+  /// snapshot is deep-equal to FromClusters over the stream's data and
+  /// clusters (the property tests pin this every generation).
   static std::shared_ptr<const ClusterSnapshot> FromStream(
       const OnlineAlid& stream, ThreadPool* pool = nullptr,
       std::shared_ptr<const ClusterSnapshot> previous = nullptr);
@@ -191,46 +187,34 @@ class ClusterSnapshot {
     return cluster_begin_[c + 1] - cluster_begin_[c];
   }
   /// Stream identity of cluster `c` ((0, 0) when the source carries none) —
-  /// what the incremental export and ClusterServer::GenerationDiff match on.
+  /// what ClusterServer::GenerationDiff matches on.
   uint64_t cluster_uid(int c) const { return src_uid_[c]; }
   uint64_t cluster_version(int c) const { return src_version_[c]; }
 
   /// What this build cost and what the incremental path saved/shared.
   const SnapshotBuildInfo& build_info() const { return build_info_; }
 
-  /// The refcounted arena blocks backing this snapshot, one per cluster —
-  /// shared with other generations that inherited the same clusters. The
+  /// The sealed blocks backing this snapshot, one per cluster — shared with
+  /// the stream and with other generations that hold the same clusters. The
   /// server's history accounting walks these to charge each block once.
   std::span<const std::shared_ptr<const ClusterBlock>> blocks() const {
     return {blocks_.data(), blocks_.size()};
   }
 
   /// Per-snapshot substrate observability: the LSH footprint.
-  const LshIndex& lsh() const { return *lsh_; }
+  const LshIndex& lsh() const { return lsh_; }
 
  private:
-  ClusterSnapshot() = default;
+  ClusterSnapshot(int dim, const ClusterSnapshotOptions& options,
+                  uint64_t generation);
 
-  // Stream-side identity of the exported clusters (what FromStream knows
-  // beyond the bare cluster list); drives the incremental re-use decision.
-  struct StreamIdentity {
-    const OnlineAlid* stream = nullptr;
-    const ClusterSnapshot* previous = nullptr;
-  };
+  // Installs one sealed block per cluster (in cluster order), indexes the
+  // blocks' carried member keys, and books the build: a block counts as
+  // shared iff `previous` holds the same pointer.
+  void Assemble(std::span<const Cluster> clusters,
+                std::vector<std::shared_ptr<const ClusterBlock>> blocks,
+                const ClusterSnapshot* previous);
 
-  static std::shared_ptr<const ClusterSnapshot> Build(
-      const Dataset& data, std::span<const Cluster> clusters,
-      const ClusterSnapshotOptions& options, uint64_t generation,
-      const StreamIdentity* identity);
-
-  // True iff `previous` was built under the same scoring/indexing
-  // parameters, so its per-cluster arena blocks are shareable verbatim.
-  bool CompatibleWith(const ClusterSnapshotOptions& options, int dim) const;
-
-  // pi(s_c, x): the weighted kernel sum over cluster c's support, in member
-  // order — the same summation order as OnlineAlid::ClusterAffinity, so the
-  // value is bit-identical to the stream's own scoring.
-  Scalar ClusterAffinity(int c, std::span<const Scalar> point) const;
   // Scores candidate cluster c for `point` and installs it in `best` when
   // its margin is positive and beats `best_margin` (the Assign rule, lowest
   // id on ties because candidates are visited in ascending id).
@@ -242,25 +226,23 @@ class ClusterSnapshot {
       std::span<const Scalar> point) const;
 
   int dim_ = 0;
-  // One refcounted arena block per cluster (see snapshot_arena.h): all
-  // member-indexed payload lives there, shared with the predecessor for
-  // unchanged clusters.
+  // One sealed block per cluster (see core/cluster_block.h): all
+  // member-indexed payload lives there, shared with the stream and with the
+  // other generations that hold the same cluster.
   std::vector<std::shared_ptr<const ClusterBlock>> blocks_;
   std::vector<Index> cluster_begin_; // cluster -> first global member (C + 1)
   std::vector<int> cluster_of_;      // global member position -> cluster id
   std::vector<Scalar> density_;      // per cluster
   std::vector<Index> seed_;          // per cluster, source ids
   // Stream identity of each cluster ((0, 0) when the source carries none):
-  // the key the *next* incremental export matches against.
+  // what GenerationDiff matches clusters by.
   std::vector<uint64_t> src_uid_;
   std::vector<uint64_t> src_version_;
-  bool simd_norm_ = false;
   double absorb_slack_ = 0.05;
-  std::unique_ptr<AffinityFunction> affinity_fn_;
-  // Per-snapshot dataset-free LSH index over the global member positions
-  // (rebuilt clusters hash their block rows, shared clusters re-insert their
-  // inherited keys — identical buckets either way).
-  std::unique_ptr<LshIndex> lsh_;
+  AffinityFunction affinity_fn_;
+  // Per-snapshot dataset-free LSH index over the global member positions,
+  // filled from the blocks' carried keys.
+  LshIndex lsh_;
   uint64_t generation_ = 0;
   SnapshotBuildInfo build_info_;
 };

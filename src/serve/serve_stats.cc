@@ -17,6 +17,7 @@ ServeStats::ServeStats()
       assigned_(registry_.AddCounter("assigned")),
       topk_queries_(registry_.AddCounter("topk_queries")),
       info_queries_(registry_.AddCounter("info_queries")),
+      query_invalid_(registry_.AddCounter("query_invalid")),
       snapshots_published_(registry_.AddCounter("snapshots_published")),
       rows_reused_(registry_.AddCounter("rows_reused")),
       clusters_reused_(registry_.AddCounter("clusters_reused")),
@@ -96,6 +97,7 @@ void ServeStats::Reset() {
   assigned_->Set(0);
   topk_queries_->Set(0);
   info_queries_->Set(0);
+  query_invalid_->Set(0);
   snapshots_published_->Set(0);
   rows_reused_->Set(0);
   clusters_reused_->Set(0);

@@ -78,6 +78,8 @@ class ServeStats {
                     bool batch);
   void RecordTopK(int64_t count = 1) { topk_queries_->Add(count); }
   void RecordInfo() { info_queries_->Add(1); }
+  /// One request answered kInvalidInput (registry counter `query_invalid`).
+  void RecordInvalid() { query_invalid_->Add(1); }
   /// One publication: the snapshot's build latency joins the bounded
   /// publish-latency reservoir (skipped when has_build is false — the
   /// offline nullptr publish) and its incremental-export reuse/byte
@@ -105,6 +107,7 @@ class ServeStats {
   obs::Counter* assigned_;
   obs::Counter* topk_queries_;
   obs::Counter* info_queries_;
+  obs::Counter* query_invalid_;
   obs::Counter* snapshots_published_;
   obs::Counter* rows_reused_;
   obs::Counter* clusters_reused_;

@@ -26,6 +26,7 @@ ShardRouter::ShardRouter(int dim, int num_shards, ShardRouterOptions options)
   metrics_.publishes = reg.AddCounter("router_publishes");
   metrics_.offline_queries = reg.AddCounter("router_offline_queries");
   metrics_.stale_generation = reg.AddCounter("router_stale_generation");
+  metrics_.invalid_queries = reg.AddCounter("router_invalid_queries");
   metrics_.query_seconds.AttachHistogram(
       reg.AddHistogram("router_query_seconds", obs::LatencyHistogramEdges()));
   metrics_.publish_seconds.AttachHistogram(
@@ -48,9 +49,9 @@ uint64_t ShardRouter::PublishFromStream(const ShardedStream& stream) {
   if (previous_.empty()) {
     previous_.resize(static_cast<size_t>(num_shards_));
   }
-  // Per-shard incremental exports, concurrently — each chains against the
-  // shard's previously published snapshot, so a steady-state publish costs
-  // only each shard's changed bytes.
+  // Per-shard exports, concurrently — each shares its shard stream's sealed
+  // blocks and is accounted against the shard's previously published
+  // snapshot (shared vs. copied bytes).
   ParallelChunks(options_.pool, 0, num_shards_, /*grain=*/1,
                  [&](int64_t, int64_t lo, int64_t hi) {
                    for (int64_t s = lo; s < hi; ++s) {
@@ -102,9 +103,15 @@ std::shared_ptr<const ShardedSnapshot> ShardRouter::SnapshotAt(
 ShardedQueryResponse ShardRouter::Query(const QueryRequest& request) const {
   ALID_TRACE_SCOPE("router", "query");
   WallTimer timer;
-  ALID_CHECK(request.points.size() % static_cast<size_t>(dim_) == 0);
-  const Index count = static_cast<Index>(request.points.size()) / dim_;
   ShardedQueryResponse response;
+  if (request.points.size() % static_cast<size_t>(dim_) != 0 ||
+      request.top_k < 0) {
+    // ClusterServer::Query's contract: a malformed request answers empty.
+    metrics_.invalid_queries->Add(1);
+    response.status = QueryStatus::kInvalidInput;
+    return response;
+  }
+  const Index count = static_cast<Index>(request.points.size()) / dim_;
   const bool ranked_mode = request.top_k > 0;
   if (ranked_mode) {
     response.ranked.resize(static_cast<size_t>(count));
@@ -112,6 +119,7 @@ ShardedQueryResponse ShardRouter::Query(const QueryRequest& request) const {
     response.assignments.resize(static_cast<size_t>(count));
   }
   if (!AllFinite(request.points)) {
+    metrics_.invalid_queries->Add(1);
     response.status = QueryStatus::kInvalidInput;
     return response;
   }

@@ -175,6 +175,7 @@ class ShardRouter {
     obs::Counter* publishes = nullptr;
     obs::Counter* offline_queries = nullptr;
     obs::Counter* stale_generation = nullptr;
+    obs::Counter* invalid_queries = nullptr;  // kInvalidInput answers
     obs::LatencyReservoir query_seconds{8192};
     obs::LatencyReservoir publish_seconds{8192};
   };

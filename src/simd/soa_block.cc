@@ -11,7 +11,7 @@ void SoaBlock::Resize(Index count, int dim) {
   count_ = count;
   dim_ = dim;
   const size_t tiles = static_cast<size_t>(num_tiles());
-  tiles_.assign(tiles * static_cast<size_t>(dim) * kSimdTileLanes, 0.0);
+  storage_.assign(tiles * static_cast<size_t>(dim) * kSimdTileLanes, 0.0);
 }
 
 void SoaBlock::GatherRows(const Dataset& data,
@@ -19,7 +19,7 @@ void SoaBlock::GatherRows(const Dataset& data,
   Resize(static_cast<Index>(members.size()), data.dim());
   for (size_t m = 0; m < members.size(); ++m) {
     const std::span<const Scalar> row = data[members[m]];
-    Scalar* lane = tiles_.data() +
+    Scalar* lane = storage_.data() +
                    (m / kSimdTileLanes) * static_cast<size_t>(dim_) *
                        kSimdTileLanes +
                    m % kSimdTileLanes;
@@ -31,7 +31,7 @@ void SoaBlock::FromRowMajor(const Scalar* rows, Index count, int dim) {
   Resize(count, dim);
   for (Index m = 0; m < count; ++m) {
     const Scalar* row = rows + static_cast<size_t>(m) * dim;
-    Scalar* lane = tiles_.data() +
+    Scalar* lane = storage_.data() +
                    (static_cast<size_t>(m) / kSimdTileLanes) *
                        static_cast<size_t>(dim_) * kSimdTileLanes +
                    static_cast<size_t>(m) % kSimdTileLanes;

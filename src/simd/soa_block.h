@@ -36,28 +36,28 @@ class SoaBlock {
     return (count_ + kSimdTileLanes - 1) / kSimdTileLanes;
   }
 
-  /// Rebuilds from rows of `data` gathered at `members`, in order — the
-  /// stream's per-cluster layout (members live in arbitrary slots).
+  /// Rebuilds from rows of `data` gathered at `members`, in order (members
+  /// live in arbitrary rows) — GatheredDistances' eight-row tiles.
   void GatherRows(const Dataset& data, std::span<const Index> members);
 
-  /// Rebuilds from a contiguous row-major block of `count` rows — the
-  /// snapshot's cluster-major member storage.
+  /// Rebuilds from a contiguous row-major block of `count` rows — a
+  /// ClusterBlock's member rows.
   void FromRowMajor(const Scalar* rows, Index count, int dim);
 
   /// Base pointer of tile t (dim * kSimdTileLanes scalars).
   const Scalar* tile(Index t) const {
-    return tiles_.data() +
+    return storage_.data() +
            static_cast<size_t>(t) * dim_ * kSimdTileLanes;
   }
 
-  size_t MemoryBytes() const { return tiles_.size() * sizeof(Scalar); }
+  size_t MemoryBytes() const { return storage_.size() * sizeof(Scalar); }
 
  private:
   void Resize(Index count, int dim);
 
   Index count_ = 0;
   int dim_ = 0;
-  std::vector<Scalar> tiles_;
+  std::vector<Scalar> storage_;
 };
 
 /// Fills out[0..lanes) with the L_p distances (p == 2 or p == 1) of tile
@@ -70,12 +70,12 @@ void TileDistances(const SimdKernelOps& ops, const SoaBlock& block, Index t,
                    Scalar out[kSimdTileLanes]);
 
 /// pi(s, x): the weighted Eq.-1 kernel sum of every member of `block`
-/// against `query`, accumulated serially in member order — the summation
-/// order of OnlineAlid::ClusterAffinity and ClusterSnapshot::
-/// ClusterAffinity, so the value is bit-identical to the row-major scalar
-/// path. Distances come from the tile kernels; the transcendental stays the
-/// same per-member std::exp on the same argument bits (the exact path never
-/// batches it — see the tolerance contract in README for the opt-out).
+/// against `query`, accumulated serially in member order — the tile path
+/// of BlockAffinity (core/cluster_block.h), bit-identical to its row-major
+/// scalar path. Distances come from the tile kernels; the transcendental
+/// stays the same per-member std::exp on the same argument bits (the exact
+/// path never batches it — see the tolerance contract in README for the
+/// opt-out).
 /// REQUIRES SimdSupportsNorm(fn.params().p).
 Scalar SoaWeightedKernelSum(const SimdKernelOps& ops, const SoaBlock& block,
                             std::span<const Scalar> weights,

@@ -49,7 +49,7 @@ TEST(LshIndexTest, OutOfRangeCoordinatesSaturateTheBucketKey) {
   };
   for (Index i : {Index{0}, Index{7}, Index{150}}) {
     std::vector<uint64_t> stored(static_cast<size_t>(lsh.num_tables()));
-    lsh.ComputeItemKeys(i, stored.data());
+    lsh.ItemKeys(i, stored.data());
     EXPECT_EQ(keys(data.data[i]), stored) << "row " << i;
     std::vector<Scalar> far(data.data[i].begin(), data.data[i].end());
     std::vector<Scalar> farther = far;
@@ -231,7 +231,7 @@ TEST_P(LshRemoveReinsertFuzz, InterleavedRemovalsMatchFreshIndex) {
       const size_t pick = static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(removed_list.size()) - 1));
       const Index target = removed_list[pick];
-      fuzzed.ComputeItemKeys(target, keys.data());
+      fuzzed.ComputePointKeys(data.data[target], keys.data());
       fuzzed.InsertItemWithKeys(target, keys);
       removed[target] = 0;
       removed_list[pick] = removed_list.back();

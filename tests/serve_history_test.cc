@@ -16,11 +16,11 @@
 
 #include "common/memory_tracker.h"
 #include "common/random.h"
+#include "core/cluster_block.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
 #include "serve/cluster_server.h"
 #include "serve/cluster_snapshot.h"
-#include "serve/snapshot_arena.h"
 
 namespace alid {
 namespace {
@@ -282,16 +282,23 @@ TEST(ServeHistoryTest, ArenaAccountingSharesBlocksAndReturnsToBaseline) {
     AppendLocalizedTail(data, *online, snaps, 3);
 
     // The arena space charges each block exactly once, however many
-    // snapshots share it: live arena bytes == unique block bytes.
+    // holders share it: live arena bytes == unique block bytes over the
+    // stream (which seals and holds the current blocks) and every snapshot.
     std::unordered_set<const ClusterBlock*> unique_blocks;
     int64_t unique_bytes = 0;
     int64_t total_bytes = 0;
+    const auto count_block = [&](const ClusterBlock& block) {
+      if (unique_blocks.insert(&block).second) {
+        unique_bytes += static_cast<int64_t>(block.MemoryBytes());
+      }
+    };
+    for (int c = 0; c < static_cast<int>(online->clusters().size()); ++c) {
+      count_block(*online->cluster_block(c));
+    }
     for (const auto& snap : snaps) {
       for (const auto& block : snap->blocks()) {
         total_bytes += static_cast<int64_t>(block->MemoryBytes());
-        if (unique_blocks.insert(block.get()).second) {
-          unique_bytes += static_cast<int64_t>(block->MemoryBytes());
-        }
+        count_block(*block);
       }
     }
     EXPECT_EQ(SnapshotArenaTracker().current_bytes() - arena_baseline,

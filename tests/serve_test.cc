@@ -2,7 +2,7 @@
 // concurrent ingest, RCU swap linearizability, batched-parallel ==
 // serial-query bit-identity, the assign-agrees-with-absorb contract
 // against the streaming runtime's own Theorem-1 decision, the incremental
-// export's deep equality with a from-scratch build, and the non-finite
+// export's deep equality with a from-scratch build, and the malformed-
 // input contract of Query.
 #include <algorithm>
 #include <atomic>
@@ -597,11 +597,62 @@ TEST(ServeTest, NonFiniteQueryAnswersInvalidInput) {
   EXPECT_EQ(far_answer.assignments[2], good.assignments[2]);
 }
 
-// Streams `data` while publishing a chained incremental snapshot and a
-// from-scratch snapshot every batch, deep-comparing the two; returns the
-// total rows the incremental chain re-used. Phase 2 (after the dataset is
-// exhausted) feeds batches localized around one planted cluster — the
-// steady-state shape where ingest leaves most clusters untouched.
+TEST(ServeTest, MalformedQueriesAnswerInvalidInputAndCount) {
+  LabeledData data = Workload(260, 13);
+  const std::vector<Index> order = ShuffledOrder(data);
+  auto online = FeedStream(data, order, 200, StreamOptions(data));
+  ClusterServer server(data.data.dim());
+  server.Publish(ClusterSnapshot::FromStream(*online));
+  const std::vector<Scalar> two = FlatRows(data, order, 200, 202);
+  const auto invalid_count = [&server] {
+    for (const obs::MetricSample& sample : server.metrics().Snapshot()) {
+      if (sample.name == "query_invalid") return sample.value;
+    }
+    ADD_FAILURE() << "query_invalid not registered";
+    return int64_t{-1};
+  };
+  EXPECT_EQ(invalid_count(), 0);
+
+  // A ragged buffer (one scalar short of two points) and a negative top_k
+  // answer empty instead of aborting the process.
+  const std::vector<Scalar> ragged(two.begin(), two.end() - 1);
+  for (const QueryRequest& request :
+       {QueryRequest{.points = ragged},
+        QueryRequest{.points = ragged, .top_k = 3},
+        QueryRequest{.points = two, .top_k = -1}}) {
+    const QueryResponse answer = server.Query(request);
+    EXPECT_EQ(answer.status, QueryStatus::kInvalidInput);
+    EXPECT_EQ(answer.generation, 0u);
+    EXPECT_TRUE(answer.assignments.empty());
+    EXPECT_TRUE(answer.ranked.empty());
+  }
+  // A NaN coordinate keeps its sized, unassigned answer.
+  std::vector<Scalar> poisoned = two;
+  poisoned[1] = std::numeric_limits<Scalar>::quiet_NaN();
+  const QueryResponse nan_answer = server.Query({.points = poisoned});
+  EXPECT_EQ(nan_answer.status, QueryStatus::kInvalidInput);
+  ASSERT_EQ(nan_answer.assignments.size(), 2u);
+  EXPECT_EQ(nan_answer.assignments[0], QueryOutcome{});
+  EXPECT_EQ(invalid_count(), 4);
+  EXPECT_EQ(server.stats().queries, 0);
+
+  // Valid requests do not count; ResetStats zeroes the counter.
+  ASSERT_TRUE(server.Query({.points = two}).ok());
+  EXPECT_EQ(invalid_count(), 4);
+  server.ResetStats();
+  EXPECT_EQ(invalid_count(), 0);
+}
+
+// Streams `data` while publishing a chained incremental stream export and
+// a from-scratch FromClusters build over the stream's own rows and clusters
+// every batch, deep-comparing the two; returns the total rows the
+// incremental chain re-used. The stream export shares the blocks the stream
+// sealed at batch end, while FromClusters gathers, hashes, tiles and
+// verifies every cluster anew from the current rows — so a stale sealed
+// block (a row overwritten by slot re-use, a missed reseal) shows up as a
+// difference. Phase 2 (after the dataset is exhausted) feeds batches
+// localized around one planted cluster — the steady-state shape where
+// ingest leaves most clusters untouched.
 int64_t RunIncrementalVsScratch(const LabeledData& data, Index window) {
   OnlineAlidOptions opts = StreamOptions(data);
   opts.window = window;
@@ -622,6 +673,10 @@ int64_t RunIncrementalVsScratch(const LabeledData& data, Index window) {
     probes.push_back(std::move(p));
   }
 
+  ClusterSnapshotOptions scratch_options;
+  scratch_options.affinity = opts.affinity;
+  scratch_options.lsh = opts.lsh;
+  scratch_options.absorb_slack = opts.absorb_slack;
   std::shared_ptr<const ClusterSnapshot> incremental;
   int64_t rows_reused = 0;
   Index pos = 0;
@@ -647,7 +702,9 @@ int64_t RunIncrementalVsScratch(const LabeledData& data, Index window) {
     }
     online.InsertBatch(flat);
     incremental = ClusterSnapshot::FromStream(online, nullptr, incremental);
-    const auto scratch = ClusterSnapshot::FromStream(online);
+    const auto scratch = ClusterSnapshot::FromClusters(
+        online.oracle().data(), online.clusters(), scratch_options,
+        static_cast<uint64_t>(online.size()));
     SCOPED_TRACE(testing::Message() << "generation " << online.size());
 
     EXPECT_EQ(scratch->build_info().rows_reused, 0);
@@ -680,10 +737,10 @@ int64_t RunIncrementalVsScratch(const LabeledData& data, Index window) {
 
 TEST(ServeTest, IncrementalExportDeepEqualsFromScratch) {
   // Every generation, the incremental export (chained on its predecessor)
-  // must be indistinguishable from a from-scratch rebuild: same clusters,
-  // rows, weights, verified densities and answers — and the steady-state
-  // phase must actually re-use, or the publish optimization silently lost
-  // itself.
+  // must be indistinguishable from a from-scratch FromClusters build: same
+  // clusters, rows, weights, verified densities and answers — and the
+  // steady-state phase must actually re-use, or the publish optimization
+  // silently lost itself.
   EXPECT_GT(RunIncrementalVsScratch(Workload(420, 17), /*window=*/0), 0);
 }
 
@@ -696,8 +753,9 @@ TEST(ServeTest, IncrementalExportDeepEqualsFromScratchUnderWindow) {
 }
 
 TEST(ServeTest, ReuseRequiresCompatibleParameters) {
-  // A snapshot built under different scoring parameters must never donate
-  // its blocks, even when the stream state did not move.
+  // A snapshot of another stream — here one under different scoring
+  // parameters — never counts as sharing: its blocks are not this stream's,
+  // even when the stream states look alike.
   LabeledData data = Workload(300, 3);
   OnlineAlidOptions opts = StreamOptions(data);
   std::unique_ptr<OnlineAlid> online = StreamInBatches(data, opts, 64);

@@ -550,6 +550,54 @@ TEST(ShardTest, RouterRejectsNonFiniteQueries) {
   }
 }
 
+TEST(ShardTest, RouterAnswersMalformedQueriesInvalidAndCountsThem) {
+  const int dim = 6;
+  ShardedStreamOptions opts;
+  opts.base = BlobOptions(dim, 1.0);
+  opts.num_shards = 2;
+  ShardedStream stream(dim, opts);
+  const std::vector<Scalar> center(dim, 5.0);
+  stream.InsertBatch(Blob(center, 60, 1.0, 13));
+  stream.Refresh();
+  ShardRouter router(dim, 2);
+  router.PublishFromStream(stream);
+  const auto invalid_count = [&router] {
+    for (const obs::MetricSample& sample : router.metrics().Snapshot()) {
+      if (sample.name == "router_invalid_queries") return sample.value;
+    }
+    ADD_FAILURE() << "router_invalid_queries not registered";
+    return int64_t{-1};
+  };
+  EXPECT_EQ(invalid_count(), 0);
+
+  // A ragged buffer (one scalar past a whole point) and a negative top_k
+  // answer empty instead of aborting the process.
+  std::vector<Scalar> ragged = center;
+  ragged.push_back(1.0);
+  for (const QueryRequest& request :
+       {QueryRequest{.points = ragged},
+        QueryRequest{.points = ragged, .top_k = 2},
+        QueryRequest{.points = center, .top_k = -1}}) {
+    const ShardedQueryResponse answer = router.Query(request);
+    EXPECT_EQ(answer.status, QueryStatus::kInvalidInput);
+    EXPECT_EQ(answer.generation, 0u);
+    EXPECT_TRUE(answer.assignments.empty());
+    EXPECT_TRUE(answer.ranked.empty());
+  }
+  // A NaN coordinate keeps its sized, unassigned answer.
+  std::vector<Scalar> poisoned = center;
+  poisoned[2] = std::numeric_limits<Scalar>::quiet_NaN();
+  const ShardedQueryResponse nan_answer = router.Query({.points = poisoned});
+  EXPECT_EQ(nan_answer.status, QueryStatus::kInvalidInput);
+  ASSERT_EQ(nan_answer.assignments.size(), 1u);
+  EXPECT_EQ(nan_answer.assignments[0], ShardAssignment{});
+  EXPECT_EQ(invalid_count(), 4);
+
+  // Valid requests do not count.
+  ASSERT_TRUE(router.Query({.points = center}).ok());
+  EXPECT_EQ(invalid_count(), 4);
+}
+
 TEST(ShardTest, BoundaryReportFindsSplitClustersOnly) {
   const int dim = 6;
   const double spread = 1.0;
