@@ -34,20 +34,19 @@ ClusterBlock::~ClusterBlock() {
 size_t ClusterBlock::MemoryBytes() const {
   return rows.size() * sizeof(Scalar) + weights.size() * sizeof(Scalar) +
          source_ids.size() * sizeof(Index) +
-         member_keys.size() * sizeof(uint64_t) + cluster_soa.MemoryBytes();
+         keys.size() * sizeof(uint64_t) + key_begin.size() * sizeof(Index) +
+         cluster_soa.MemoryBytes();
 }
 
 std::shared_ptr<const ClusterBlock> ClusterBlock::Build(
-    const Dataset& data, const Cluster& cluster, const LshIndex& hasher,
-    const AffinityFunction& fn) {
+    const Dataset& data, const Cluster& cluster, const LshHasher& hasher,
+    const AffinityFunction& fn, const LshIndex* index) {
   ALID_CHECK(cluster.members.size() == cluster.weights.size());
   std::shared_ptr<ClusterBlock> block(new ClusterBlock());
   const Index count = static_cast<Index>(cluster.members.size());
   const int dim = data.dim();
-  const int tables = hasher.num_tables();
   block->count = count;
   block->dim = dim;
-  block->keys_per_member = tables;
   {
     ALID_TRACE_SCOPE("block", "gather");
     block->rows.resize(static_cast<size_t>(count) * dim);
@@ -62,18 +61,31 @@ std::shared_ptr<const ClusterBlock> ClusterBlock::Build(
     block->source_ids = cluster.members;
   }
   {
-    // A hasher that indexes `data` (the stream's own index) already holds
-    // every member's keys; any other one hashes the gathered rows.
+    // Every member's keys (count x tables, member-major), then each
+    // table's column sorted and deduplicated: once per seal, far below the
+    // O(count^2 dim) density verification below.
     ALID_TRACE_SCOPE("block", "keys");
-    const bool indexed = hasher.Indexes(data);
-    block->member_keys.resize(static_cast<size_t>(count) * tables);
+    ALID_CHECK(index == nullptr || index->hasher().get() == &hasher);
+    const int tables = hasher.num_tables();
+    std::vector<uint64_t> all_keys(static_cast<size_t>(count) * tables);
     for (Index t = 0; t < count; ++t) {
-      uint64_t* keys = &block->member_keys[static_cast<size_t>(t) * tables];
-      if (indexed) {
-        hasher.ItemKeys(cluster.members[t], keys);
+      uint64_t* keys = &all_keys[static_cast<size_t>(t) * tables];
+      if (index != nullptr) {
+        index->ItemKeys(cluster.members[t], keys);
       } else {
         hasher.ComputePointKeys(block->row(t), keys);
       }
+    }
+    std::vector<uint64_t> column(static_cast<size_t>(count));
+    block->key_begin.push_back(0);
+    for (int table = 0; table < tables; ++table) {
+      for (Index t = 0; t < count; ++t) {
+        column[t] = all_keys[static_cast<size_t>(t) * tables + table];
+      }
+      std::sort(column.begin(), column.end());
+      const auto end = std::unique(column.begin(), column.end());
+      block->keys.insert(block->keys.end(), column.begin(), end);
+      block->key_begin.push_back(static_cast<Index>(block->keys.size()));
     }
   }
   const double p = fn.params().p;

@@ -15,6 +15,7 @@
 
 namespace alid {
 
+class LshHasher;
 class LshIndex;
 
 /// The cluster-block arena's own MemoryTracker resource space: every sealed
@@ -29,16 +30,17 @@ MemoryTracker& SnapshotArenaTracker();
 
 /// One cluster's immutable payload — the single cluster representation that
 /// the stream scores arrivals against and that serving snapshots share: the
-/// member rows, simplex weights, source ids, per-member LSH bucket keys,
-/// SIMD SoA tiles and the verified density. Build() is the only way to make
-/// one; it fills every field and seals the block, which from then on lives
-/// behind shared_ptr<const ClusterBlock> and never changes. OnlineAlid
-/// reseals a cluster only when its version moves, and every snapshot of the
-/// stream holds the same pointers, so an unchanged cluster costs a refcount
-/// bump per generation instead of a copy, and bounded time travel over a
-/// ring of generations costs only each generation's unshared blocks. Bytes
-/// are charged exactly once (at sealing) to both the global MemoryTracker
-/// and SnapshotArenaTracker(), and released when the last holder dies.
+/// member rows, simplex weights, source ids, each table's distinct LSH
+/// bucket keys, SIMD SoA tiles and the verified density. Build() is the only
+/// way to make one; it fills every field and seals the block, which from
+/// then on lives behind shared_ptr<const ClusterBlock> and never changes.
+/// OnlineAlid reseals a cluster only when its version moves, and every
+/// snapshot of the stream holds the same pointers, so an unchanged cluster
+/// costs a refcount bump per generation instead of a copy, and bounded time
+/// travel over a ring of generations costs only each generation's unshared
+/// blocks. Bytes are charged exactly once (at sealing) to both the global
+/// MemoryTracker and SnapshotArenaTracker(), and released when the last
+/// holder dies.
 struct ClusterBlock {
   /// Traced ("arena"/"release"): the last holder's teardown returns the
   /// block's bytes to both trackers (member charges).
@@ -47,21 +49,18 @@ struct ClusterBlock {
   ClusterBlock& operator=(const ClusterBlock&) = delete;
 
   /// Builds and seals the block of `cluster` over the rows of `data`:
-  /// gathers the member rows, takes every member's keys from `hasher`
-  /// (whose params must be the serving index's, so the carried keys land
-  /// in the same buckets: read from its inverted list when it indexes
-  /// `data`, as the stream's index does, hashed from the rows otherwise),
-  /// builds the SoA tiles when the norm has a tile kernel, and verifies
-  /// x^T A x under `fn`. Pure in its inputs and thread-safe, so callers
-  /// build many blocks in parallel.
-  static std::shared_ptr<const ClusterBlock> Build(const Dataset& data,
-                                                   const Cluster& cluster,
-                                                   const LshIndex& hasher,
-                                                   const AffinityFunction& fn);
+  /// gathers the member rows, collects each table's distinct member keys
+  /// under `hasher` (read from the inverted list of `index` when given — it
+  /// must index `data` with `hasher`, as the stream's index does — and
+  /// hashed from the gathered rows otherwise), builds the SoA tiles when
+  /// the norm has a tile kernel, and verifies x^T A x under `fn`. Pure in
+  /// its inputs and thread-safe, so callers build many blocks in parallel.
+  static std::shared_ptr<const ClusterBlock> Build(
+      const Dataset& data, const Cluster& cluster, const LshHasher& hasher,
+      const AffinityFunction& fn, const LshIndex* index = nullptr);
 
-  Index count = 0;          ///< Members of the cluster.
-  int dim = 0;              ///< Row dimensionality.
-  int keys_per_member = 0;  ///< LSH tables (member_keys stride).
+  Index count = 0;  ///< Members of the cluster.
+  int dim = 0;      ///< Row dimensionality.
 
   /// count x dim row-major member rows, in member (support) order.
   std::vector<Scalar> rows;
@@ -69,9 +68,12 @@ struct ClusterBlock {
   std::vector<Scalar> weights;
   /// Member -> source id (dataset row / stream slot).
   std::vector<Index> source_ids;
-  /// Per-member LSH bucket keys, count x keys_per_member row-major — so a
-  /// snapshot indexes the members without re-hashing them.
-  std::vector<uint64_t> member_keys;
+  /// The distinct bucket keys the members occupy, table by table, each
+  /// table's ascending: table t's are keys[key_begin[t] .. key_begin[t+1]).
+  /// A query collides with some member in table t iff its key is among
+  /// them, so a snapshot indexes clusters by these without re-hashing.
+  std::vector<uint64_t> keys;
+  std::vector<Index> key_begin;  ///< num_tables + 1 offsets into keys.
   /// Dimension-major SIMD tiles of all member rows (member order); empty
   /// when the configured norm has no tile kernel.
   SoaBlock cluster_soa;
@@ -85,6 +87,13 @@ struct ClusterBlock {
   std::span<const Scalar> row(Index i) const {
     return {rows.data() + static_cast<size_t>(i) * dim,
             static_cast<size_t>(dim)};
+  }
+
+  int num_tables() const { return static_cast<int>(key_begin.size()) - 1; }
+  /// Table t's distinct member keys, ascending.
+  std::span<const uint64_t> table_keys(int t) const {
+    return {keys.data() + key_begin[t],
+            static_cast<size_t>(key_begin[t + 1] - key_begin[t])};
   }
 
   /// Bytes of the block's payload vectors and tiles — what sharing saves and

@@ -113,7 +113,7 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
                    [&](int64_t, int64_t lo, int64_t hi) {
                      ALID_TRACE_SCOPE("stream", "lsh_keys_chunk");
                      for (int64_t k = lo; k < hi; ++k) {
-                       lsh_->ComputePointKeys(
+                       lsh_->hasher()->ComputePointKeys(
                            data_[slots[k]],
                            &keys[static_cast<size_t>(k) * tables]);
                      }
@@ -298,8 +298,9 @@ void OnlineAlid::SealBlocks() {
         for (int64_t c = lo; c < hi; ++c) {
           SealedBlock& sealed = blocks_[c];
           if (sealed.version == cluster_version_[c]) continue;
-          sealed.block =
-              ClusterBlock::Build(data_, clusters_[c], *lsh_, affinity_fn_);
+          sealed.block = ClusterBlock::Build(data_, clusters_[c],
+                                             *lsh_->hasher(), affinity_fn_,
+                                             lsh_.get());
           sealed.version = cluster_version_[c];
         }
       });

@@ -208,6 +208,8 @@ class OnlineAlid {
 
   /// The shared oracle (kernel-entry counters for benches and tests).
   const LazyAffinityOracle& oracle() const { return *oracle_; }
+  /// The stream's LSH index over its slots; snapshots share its hasher.
+  const LshIndex& lsh() const { return *lsh_; }
 
  private:
   // A cluster's sealed block and the cluster version it was sealed at; the

@@ -39,29 +39,60 @@ int32_t SaturatedBucket(Scalar floor_value) {
 
 }  // namespace
 
-void LshIndex::InitTables() {
+LshHasher::LshHasher(int dim, LshParams params)
+    : dim_(dim), params_(params) {
+  ALID_CHECK(dim_ > 0);
   ALID_CHECK(params_.num_tables > 0);
   ALID_CHECK(params_.num_projections > 0);
   ALID_CHECK(params_.segment_length > 0.0);
-  const int d = dim_;
+  const size_t per_table = static_cast<size_t>(params_.num_projections);
+  projections_.resize(static_cast<size_t>(params_.num_tables) * per_table *
+                      dim);
+  offsets_.resize(static_cast<size_t>(params_.num_tables) * per_table);
+  // One stream, table by table: a table's projections, then its offsets.
   Rng rng(params_.seed);
-  tables_.resize(params_.num_tables);
-  for (auto& table : tables_) {
-    table.projections.resize(static_cast<size_t>(params_.num_projections) * d);
-    for (auto& v : table.projections) v = rng.Gaussian();
-    table.offsets.resize(params_.num_projections);
-    for (auto& b : table.offsets) b = rng.Uniform(0.0, params_.segment_length);
+  for (int t = 0; t < params_.num_tables; ++t) {
+    Scalar* proj = projections_.data() + t * per_table * dim;
+    for (size_t i = 0; i < per_table * dim; ++i) proj[i] = rng.Gaussian();
+    Scalar* offsets = offsets_.data() + t * per_table;
+    for (size_t p = 0; p < per_table; ++p) {
+      offsets[p] = rng.Uniform(0.0, params_.segment_length);
+    }
   }
 }
 
+uint64_t LshHasher::HashPoint(int t, std::span<const Scalar> point) const {
+  const int d = dim_;
+  ALID_DCHECK(static_cast<int>(point.size()) == d);
+  const size_t per_table = static_cast<size_t>(params_.num_projections);
+  const Scalar* offsets = offsets_.data() + t * per_table;
+  uint64_t h = kFnvOffsetBasis;
+  for (size_t p = 0; p < per_table; ++p) {
+    const Scalar* proj = projections_.data() + (t * per_table + p) * d;
+    Scalar dot = 0.0;
+    for (int k = 0; k < d; ++k) dot += proj[k] * point[k];
+    const Scalar bucket =
+        std::floor((dot + offsets[p]) / params_.segment_length);
+    h = FoldFloor(h, SaturatedBucket(bucket));
+  }
+  return h;
+}
+
+void LshHasher::ComputePointKeys(std::span<const Scalar> point,
+                                 uint64_t* out) const {
+  for (int t = 0; t < params_.num_tables; ++t) out[t] = HashPoint(t, point);
+}
+
 LshIndex::LshIndex(const Dataset& data, LshParams params)
-    : data_(&data), dim_(data.dim()), params_(params) {
-  InitTables();
+    : data_(&data),
+      hasher_(std::make_shared<const LshHasher>(data.dim(), params)),
+      tables_(static_cast<size_t>(params.num_tables)) {
   const Index n = data.size();
-  for (auto& table : tables_) {
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    Table& table = tables_[t];
     table.item_key.resize(n);
     for (Index i = 0; i < n; ++i) {
-      const uint64_t key = HashPoint(table, data[i]);
+      const uint64_t key = hasher_->HashPoint(static_cast<int>(t), data[i]);
       table.item_key[i] = key;
       table.buckets[key].push_back(i);
     }
@@ -70,9 +101,8 @@ LshIndex::LshIndex(const Dataset& data, LshParams params)
   indexed_count_ = n;
   live_count_ = n;
   removed_.assign(static_cast<size_t>(n), 0);
+  memory_bytes_ = hasher_->MemoryBytes();
   for (const auto& table : tables_) {
-    memory_bytes_ += table.projections.size() * sizeof(Scalar);
-    memory_bytes_ += table.offsets.size() * sizeof(Scalar);
     memory_bytes_ += table.item_key.size() * sizeof(uint64_t);
     for (const auto& [key, items] : table.buckets) {
       memory_bytes_ += sizeof(key) + items.size() * sizeof(Index);
@@ -82,33 +112,14 @@ LshIndex::LshIndex(const Dataset& data, LshParams params)
       std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
 }
 
-LshIndex::LshIndex(int dim, LshParams params)
-    : data_(nullptr), dim_(dim), params_(params) {
-  ALID_CHECK(dim_ > 0);
-  InitTables();
-  for (const auto& table : tables_) {
-    memory_bytes_ += table.projections.size() * sizeof(Scalar);
-    memory_bytes_ += table.offsets.size() * sizeof(Scalar);
-  }
-  charge_ =
-      std::make_unique<ScopedMemoryCharge>(static_cast<int64_t>(memory_bytes_));
-}
-
-void LshIndex::ComputePointKeys(std::span<const Scalar> point,
-                                uint64_t* out) const {
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    out[t] = HashPoint(tables_[t], point);
-  }
-}
-
 void LshIndex::ItemKeys(Index i, uint64_t* out) const {
   ALID_CHECK(i >= 0 && i < indexed_count_ && removed_[i] == 0);
   for (size_t t = 0; t < tables_.size(); ++t) out[t] = tables_[t].item_key[i];
 }
 
 void LshIndex::InsertItemWithKeys(Index i, std::span<const uint64_t> keys) {
-  ALID_CHECK(static_cast<int>(keys.size()) == params_.num_tables);
-  ALID_CHECK(i >= 0 && (data_ == nullptr || i < data_->size()));
+  ALID_CHECK(static_cast<int>(keys.size()) == num_tables());
+  ALID_CHECK(i >= 0 && i < data_->size());
   if (i == indexed_count_) {
     for (size_t t = 0; t < tables_.size(); ++t) {
       tables_[t].item_key.push_back(keys[t]);
@@ -150,24 +161,6 @@ void LshIndex::RemoveItem(Index i) {
   --live_count_;
   memory_bytes_ -= tables_.size() * sizeof(Index);
   charge_->Adjust(static_cast<int64_t>(memory_bytes_));
-}
-
-LshIndex::~LshIndex() = default;
-
-uint64_t LshIndex::HashPoint(const Table& table,
-                             std::span<const Scalar> point) const {
-  const int d = dim_;
-  ALID_DCHECK(static_cast<int>(point.size()) == d);
-  uint64_t h = kFnvOffsetBasis;
-  for (int p = 0; p < params_.num_projections; ++p) {
-    const Scalar* proj = table.projections.data() + static_cast<size_t>(p) * d;
-    Scalar dot = 0.0;
-    for (int k = 0; k < d; ++k) dot += proj[k] * point[k];
-    const Scalar bucket =
-        std::floor((dot + table.offsets[p]) / params_.segment_length);
-    h = FoldFloor(h, SaturatedBucket(bucket));
-  }
-  return h;
 }
 
 std::vector<Index> LshIndex::QueryByIndex(Index i) const {
@@ -233,8 +226,10 @@ void LshIndex::QueryByPoint(std::span<const Scalar> point,
 
   out->clear();
   stamp.Begin(static_cast<size_t>(size()));
-  for (const auto& table : tables_) {
-    auto it = table.buckets.find(HashPoint(table, point));
+  for (size_t t = 0; t < tables_.size(); ++t) {
+    const Table& table = tables_[t];
+    auto it = table.buckets.find(
+        hasher_->HashPoint(static_cast<int>(t), point));
     if (it == table.buckets.end()) continue;
     for (Index j : it->second) {
       if (!stamp.IsMarked(j)) {

@@ -29,6 +29,38 @@ struct LshParams {
   uint64_t seed = 42;
 };
 
+/// The immutable half of the p-stable scheme: every table's Gaussian
+/// projections and uniform offsets for one (dim, params), seeded once.
+/// Hashers with equal (dim, params) hash every point identically; an index
+/// shares its hasher with the snapshots exported from it. Thread-safe.
+class LshHasher {
+ public:
+  LshHasher(int dim, LshParams params);
+
+  const LshParams& params() const { return params_; }
+  int dim() const { return dim_; }
+  int num_tables() const { return params_.num_tables; }
+
+  /// The bucket key of `point` (point.size() == dim()) in table `t`.
+  uint64_t HashPoint(int t, std::span<const Scalar> point) const;
+
+  /// Writes the point's bucket key of every table to out[0 .. num_tables()).
+  void ComputePointKeys(std::span<const Scalar> point, uint64_t* out) const;
+
+  /// Bytes of the projection and offset tables.
+  size_t MemoryBytes() const {
+    return (projections_.size() + offsets_.size()) * sizeof(Scalar);
+  }
+
+ private:
+  int dim_ = 0;
+  LshParams params_;
+  // Table t's row-major [num_projections x dim] projection matrix starts at
+  // t * num_projections * dim; its offsets (U[0, r)) at t * num_projections.
+  std::vector<Scalar> projections_;
+  std::vector<Scalar> offsets_;
+};
+
 /// p-stable (Gaussian, hence L2) locality sensitive hash index over a
 /// Dataset. Each item is hashed into one bucket per table; a query returns
 /// the union of its buckets (its Locality Sensitive Region, Fig. 4). As in
@@ -36,26 +68,14 @@ struct LshParams {
 /// queries by item index need no re-hashing.
 class LshIndex {
  public:
+  /// Seeds one LshHasher for (data.dim(), params) and hashes every row.
   LshIndex(const Dataset& data, LshParams params);
-
-  /// Dataset-free deferred index of the given dimensionality: the tables
-  /// (projections and offsets) are seeded exactly as in the hashing
-  /// constructor, but no Dataset is attached — items enter only through
-  /// InsertItemWithKeys with keys the caller computed (ComputePointKeys) or
-  /// inherited from an earlier index built with the same params. This is the
-  /// serving snapshot's mode: member rows live in refcounted arena blocks
-  /// rather than one flat dataset, so there is no Dataset to point at, yet
-  /// the buckets (and hence every QueryByPoint answer) are identical to an
-  /// eager index over the same rows in the same order.
-  LshIndex(int dim, LshParams params);
-
-  ~LshIndex();
 
   LshIndex(const LshIndex&) = delete;
   LshIndex& operator=(const LshIndex&) = delete;
 
-  const LshParams& params() const { return params_; }
-  int num_tables() const { return params_.num_tables; }
+  const LshParams& params() const { return hasher_->params(); }
+  int num_tables() const { return hasher_->num_tables(); }
   /// Number of item slots the tables know about (== dataset size unless the
   /// dataset grew and InsertItemWithKeys was not yet called for the new
   /// rows). Removed slots still count; see live_count().
@@ -63,26 +83,15 @@ class LshIndex {
   /// Items currently present in the buckets (size() minus removed slots).
   Index live_count() const { return live_count_; }
 
-  /// Pure hashing of an arbitrary point (point.size() == the index's
-  /// dimensionality): writes its bucket key for every table into
-  /// out[0 .. num_tables()). Exactly the HashPoint that the hashing
-  /// constructor and QueryByPoint run, so keys computed from a copied row
-  /// equal keys computed from the original dataset row — the property that
-  /// lets cluster blocks carry their members' keys into snapshots.
-  /// Thread-safe — OnlineAlid's batch ingest hashes a whole arrival batch in
-  /// parallel with this and applies the mutations serially through
-  /// InsertItemWithKeys; works in dataset-free mode.
-  void ComputePointKeys(std::span<const Scalar> point, uint64_t* out) const;
+  /// The index's hasher, shared with whoever needs this index's buckets
+  /// without its items (serving snapshots); it charges the hasher's bytes.
+  const std::shared_ptr<const LshHasher>& hasher() const { return hasher_; }
 
   /// The bucket keys item i was inserted with, one per table, into
-  /// out[0 .. num_tables()) — what ComputePointKeys returns for its current
-  /// row, without re-hashing. REQUIRES: i is indexed and not
+  /// out[0 .. num_tables()) — what the hasher's ComputePointKeys returns for
+  /// its current row, without re-hashing. REQUIRES: i is indexed and not
   /// removed. Thread-safe against concurrent readers.
   void ItemKeys(Index i, uint64_t* out) const;
-
-  /// True iff this index hashes the rows of `data` (false in dataset-free
-  /// mode), i.e. ItemKeys(i) are the keys of data[i].
-  bool Indexes(const Dataset& data) const { return data_ == &data; }
 
   /// Inserts item i with precomputed keys: either the next append slot
   /// (i == size()) or a previously removed slot whose dataset row was
@@ -116,15 +125,10 @@ class LshIndex {
   /// All items colliding with an arbitrary point, deduplicated, unordered.
   std::vector<Index> QueryByPoint(std::span<const Scalar> point) const;
 
-  /// Allocation-light form of QueryByPoint — the serving hot path. Appends
-  /// the deduplicated union of the point's buckets to *out after clearing
-  /// it; dedup runs on a reusable thread-local stamp buffer, so a
-  /// high-QPS query loop allocates nothing per call. The result order is a
-  /// pure function of the point and the index history (tables in order,
-  /// buckets in insertion order), so batched serving stays bit-identical to
-  /// serial serving. Thread-safe against concurrent readers; the index must
-  /// not be mutated concurrently (serving queries a frozen per-snapshot
-  /// index, which guarantees this).
+  /// Allocation-light form of QueryByPoint: appends to *out after clearing
+  /// it, deduplicating on a reusable thread-local stamp buffer. The order is
+  /// a pure function of the point and the index history (tables in order,
+  /// buckets in insertion order). Thread-safe against concurrent readers.
   void QueryByPoint(std::span<const Scalar> point,
                     std::vector<Index>* out) const;
 
@@ -143,26 +147,14 @@ class LshIndex {
 
  private:
   struct Table {
-    // Row-major [num_projections x dim] Gaussian projection matrix.
-    std::vector<Scalar> projections;
-    std::vector<Scalar> offsets;  // one per projection, U[0, r)
     // bucket key -> items. Keys are hashes of the concatenated floor values.
     std::unordered_map<uint64_t, std::vector<Index>> buckets;
     // Inverted list: bucket key of each item.
     std::vector<uint64_t> item_key;
   };
 
-  uint64_t HashPoint(const Table& table, std::span<const Scalar> point) const;
-
-  // Seeds the projection/offset streams of every table from params_. Both
-  // constructors share this, so a deferred index hashes every point exactly
-  // like an eager one built from the same params — the property that lets
-  // precomputed keys move between snapshot generations.
-  void InitTables();
-
-  const Dataset* data_;  // nullptr in dataset-free mode
-  int dim_ = 0;
-  LshParams params_;
+  const Dataset* data_;
+  std::shared_ptr<const LshHasher> hasher_;
   std::vector<Table> tables_;
   Index indexed_count_ = 0;  // how many dataset rows the tables know about
   Index live_count_ = 0;     // indexed slots currently present in buckets

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 #include <unordered_set>
 
@@ -14,30 +15,12 @@
 
 namespace alid {
 
-namespace {
-
-// Per-thread query scratch: the LSH collision list and an epoch-stamped
-// cluster-candidate mark. Thread-local, so any number of readers query one
-// snapshot (or different snapshots) concurrently without allocating.
-struct QueryScratch {
-  std::vector<Index> hits;
-  EpochStamp candidates;  // marked cluster ids of the current query
-};
-
-QueryScratch& Scratch() {
-  thread_local QueryScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-ClusterSnapshot::ClusterSnapshot(int dim,
+ClusterSnapshot::ClusterSnapshot(std::shared_ptr<const LshHasher> hasher,
                                  const ClusterSnapshotOptions& options,
                                  uint64_t generation)
-    : dim_(dim),
-      absorb_slack_(options.absorb_slack),
+    : absorb_slack_(options.absorb_slack),
       affinity_fn_(options.affinity),
-      lsh_(dim, options.lsh),
+      hasher_(std::move(hasher)),
       generation_(generation) {
   ALID_CHECK(options.absorb_slack >= 0.0 && options.absorb_slack < 1.0);
 }
@@ -45,13 +28,13 @@ ClusterSnapshot::ClusterSnapshot(int dim,
 std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromClusters(
     const Dataset& data, std::span<const Cluster> clusters,
     const ClusterSnapshotOptions& options, uint64_t generation) {
-  ALID_CHECK(data.dim() > 0);
   ALID_TRACE_SCOPE("publish", "build");
   WallTimer build_timer;
-  std::shared_ptr<ClusterSnapshot> snap(
-      new ClusterSnapshot(data.dim(), options, generation));
+  std::shared_ptr<ClusterSnapshot> snap(new ClusterSnapshot(
+      std::make_shared<const LshHasher>(data.dim(), options.lsh), options,
+      generation));
   // One sealed block per cluster, built in parallel (each build is pure),
-  // hashed with the snapshot's own index so the carried keys are its keys.
+  // hashed with the snapshot's own hasher so the carried keys are its keys.
   std::vector<std::shared_ptr<const ClusterBlock>> blocks(clusters.size());
   {
     ALID_TRACE_SCOPE("publish", "block_build");
@@ -59,7 +42,7 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromClusters(
                    options.grain, [&](int64_t, int64_t lo, int64_t hi) {
                      for (int64_t c = lo; c < hi; ++c) {
                        blocks[c] = ClusterBlock::Build(data, clusters[c],
-                                                       snap->lsh_,
+                                                       *snap->hasher_,
                                                        snap->affinity_fn_);
                      }
                    });
@@ -87,11 +70,10 @@ void ClusterSnapshot::Assemble(
   }
   {
     ALID_TRACE_SCOPE("publish", "block_fill");
-    cluster_begin_.push_back(0);
     for (int c = 0; c < num_clusters; ++c) {
       const ClusterBlock& block = *blocks_[c];
-      ALID_CHECK(block.dim == dim_ &&
-                 block.keys_per_member == lsh_.num_tables());
+      ALID_CHECK(block.dim == dim() &&
+                 block.num_tables() == hasher_->num_tables());
       ALID_CHECK(static_cast<size_t>(block.count) ==
                  clusters[c].members.size());
       const int64_t bytes = static_cast<int64_t>(block.MemoryBytes());
@@ -103,30 +85,32 @@ void ClusterSnapshot::Assemble(
         build_info_.bytes_copied += bytes;
         build_info_.rows_rebuilt += block.count;
       }
-      cluster_of_.insert(cluster_of_.end(), static_cast<size_t>(block.count),
-                         c);
-      cluster_begin_.push_back(cluster_begin_.back() + block.count);
+      num_members_ += block.count;
       density_.push_back(clusters[c].density);
       seed_.push_back(clusters[c].seed);
     }
   }
   build_info_.clusters_total = num_clusters;
 
-  // The per-snapshot index over the global member positions, dataset-free
-  // (the rows live in the blocks): the serial 0..M-1 insertion of the
-  // carried keys reproduces exactly the buckets an eager index over the
-  // same rows would have built (same params => same projections as the
-  // source index, so point queries land in equivalent buckets).
+  // Per table, every block's distinct keys tagged with its cluster id and
+  // sorted: a cluster is listed under a key iff one of its members occupies
+  // that bucket.
   ALID_TRACE_SCOPE("publish", "lsh");
-  const size_t tables = static_cast<size_t>(lsh_.num_tables());
-  for (int c = 0; c < num_clusters; ++c) {
-    const ClusterBlock& block = *blocks_[c];
-    for (Index m = 0; m < block.count; ++m) {
-      lsh_.InsertItemWithKeys(
-          cluster_begin_[c] + m,
-          std::span<const uint64_t>(
-              block.member_keys.data() + static_cast<size_t>(m) * tables,
-              tables));
+  key_index_.resize(static_cast<size_t>(hasher_->num_tables()));
+  for (int t = 0; t < hasher_->num_tables(); ++t) {
+    KeyIndex& index = key_index_[static_cast<size_t>(t)];
+    for (int c = 0; c < num_clusters; ++c) {
+      for (uint64_t key : blocks_[c]->table_keys(t)) {
+        index.entries.emplace_back(key, c);
+      }
+    }
+    std::sort(index.entries.begin(), index.entries.end());
+    const size_t n = index.entries.size();
+    index.shift = 64 - std::max(1, static_cast<int>(std::bit_width(n)));
+    index.slot_begin.resize((size_t{1} << (64 - index.shift)) + 1);
+    for (size_t slot = 0, e = 0; slot < index.slot_begin.size(); ++slot) {
+      while (e < n && (index.entries[e].first >> index.shift) < slot) ++e;
+      index.slot_begin[slot] = static_cast<int>(e);
     }
   }
 }
@@ -145,13 +129,11 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
   WallTimer build_timer;
   ClusterSnapshotOptions options;
   options.affinity = stream.options().affinity;
-  options.lsh = stream.options().lsh;
   options.absorb_slack = stream.options().absorb_slack;
   std::shared_ptr<ClusterSnapshot> snap(new ClusterSnapshot(
-      stream.oracle().data().dim(), options,
-      static_cast<uint64_t>(stream.size())));
+      stream.lsh().hasher(), options, static_cast<uint64_t>(stream.size())));
   // The stream's sealed blocks, shared as they are: they were built from
-  // the same rows with the same LSH params and kernel this snapshot uses.
+  // the same rows with the same hasher and kernel this snapshot uses.
   const int num_clusters = static_cast<int>(stream.clusters().size());
   std::vector<std::shared_ptr<const ClusterBlock>> blocks;
   blocks.reserve(static_cast<size_t>(num_clusters));
@@ -165,15 +147,21 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::FromStream(
   return snap;
 }
 
-const std::vector<Index>& ClusterSnapshot::CandidateMembers(
+const EpochStamp& ClusterSnapshot::MarkCandidates(
     std::span<const Scalar> point) const {
-  QueryScratch& scratch = Scratch();
-  lsh_.QueryByPoint(point, &scratch.hits);
-  scratch.candidates.Begin(static_cast<size_t>(num_clusters()));
-  for (Index j : scratch.hits) {
-    scratch.candidates.Mark(static_cast<size_t>(cluster_of_[j]));
+  // Thread-local, so any number of readers query one snapshot (or
+  // different snapshots) concurrently without allocating.
+  thread_local EpochStamp marks;
+  marks.Begin(static_cast<size_t>(num_clusters()));
+  for (int t = 0; t < hasher_->num_tables(); ++t) {
+    const KeyIndex& index = key_index_[static_cast<size_t>(t)];
+    const uint64_t key = hasher_->HashPoint(t, point);
+    const size_t slot = key >> index.shift;
+    for (int e = index.slot_begin[slot]; e < index.slot_begin[slot + 1]; ++e) {
+      if (index.entries[e].first == key) marks.Mark(index.entries[e].second);
+    }
   }
-  return scratch.hits;
+  return marks;
 }
 
 void ClusterSnapshot::ScoreCandidate(int c, std::span<const Scalar> point,
@@ -196,11 +184,10 @@ QueryOutcome ClusterSnapshot::Assign(std::span<const Scalar> point) const {
   QueryOutcome best;
   best.generation = generation_;
   if (num_clusters() == 0) return best;
-  CandidateMembers(point);
-  const QueryScratch& scratch = Scratch();
+  const EpochStamp& candidates = MarkCandidates(point);
   Scalar best_margin = -std::numeric_limits<Scalar>::infinity();
   for (int c = 0; c < num_clusters(); ++c) {
-    if (scratch.candidates.IsMarked(static_cast<size_t>(c))) {
+    if (candidates.IsMarked(static_cast<size_t>(c))) {
       ScoreCandidate(c, point, &best_margin, &best);
     }
   }
@@ -232,12 +219,11 @@ void ClusterSnapshot::AssignBatch(std::span<const Scalar> points,
   for (Index q0 = 0; q0 < count; q0 += kQueryBlock) {
     const Index block = std::min<Index>(kQueryBlock, count - q0);
     for (Index i = 0; i < block; ++i) {
-      CandidateMembers(points.subspan(static_cast<size_t>(q0 + i) * d,
-                                      static_cast<size_t>(d)));
-      const QueryScratch& scratch = Scratch();
+      const EpochStamp& candidates = MarkCandidates(points.subspan(
+          static_cast<size_t>(q0 + i) * d, static_cast<size_t>(d)));
       for (int c = 0; c < num; ++c) {
         candidate[static_cast<size_t>(i) * num + c] =
-            scratch.candidates.IsMarked(static_cast<size_t>(c)) ? 1 : 0;
+            candidates.IsMarked(static_cast<size_t>(c)) ? 1 : 0;
       }
       best_margin[i] = -std::numeric_limits<Scalar>::infinity();
     }
@@ -257,10 +243,9 @@ std::vector<ScoredCluster> ClusterSnapshot::TopKClusters(
   ALID_CHECK(static_cast<int>(point.size()) == dim());
   std::vector<ScoredCluster> scored;
   if (k <= 0 || num_clusters() == 0) return scored;
-  CandidateMembers(point);
-  const QueryScratch& scratch = Scratch();
+  const EpochStamp& candidates = MarkCandidates(point);
   for (int c = 0; c < num_clusters(); ++c) {
-    if (!scratch.candidates.IsMarked(static_cast<size_t>(c))) continue;
+    if (!candidates.IsMarked(static_cast<size_t>(c))) continue;
     ScoredCluster entry;
     entry.cluster = c;
     entry.affinity = BlockAffinity(*blocks_[c], affinity_fn_, point);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "affinity/affinity_function.h"
@@ -14,19 +15,20 @@
 
 namespace alid {
 
+class EpochStamp;
 class OnlineAlid;
 class ThreadPool;
 
 /// Parameters of a snapshot build. For scoring parity with a detector, pass
 /// the detector's own affinity/LSH parameters: the LSH seed fixes the
 /// Gaussian projections, so a query point hashes to the same buckets in the
-/// snapshot's per-snapshot index as in the source index — which makes the
+/// snapshot's cluster index as in the source index — which makes the
 /// snapshot's candidate clusters (and hence Assign) *exactly* the Theorem-1
 /// absorb decision the source detector would take.
 struct ClusterSnapshotOptions {
   /// Affinity kernel the supports were detected under.
   AffinityParams affinity;
-  /// LSH parameters of the rebuilt per-snapshot index (seed included).
+  /// LSH parameters of FromClusters' hasher (seed included).
   LshParams lsh;
   /// Absorb slack of the assignment rule (see OnlineAlidOptions).
   double absorb_slack = 0.05;
@@ -103,15 +105,15 @@ struct ClusterSnapshotInfo {
 
 /// An immutable, self-contained view of one detection state, built for
 /// serving: every dominant cluster's payload (compacted member rows, simplex
-/// weights, source ids, per-member LSH keys, SoA tiles) lives in a sealed
+/// weights, source ids, distinct LSH keys, SoA tiles) lives in a sealed
 /// refcounted ClusterBlock (see core/cluster_block.h), plus a per-snapshot
-/// LSH index over the members for candidate retrieval. A stream export
-/// holds the stream's own blocks, so consecutive generations share every
-/// unchanged cluster's block instead of copying it — publish costs only the
-/// per-snapshot index, and a server's history ring of old generations is
-/// nearly free. Every query method is const, touches only
-/// snapshot-owned state plus thread-local scratch, and is therefore safe for
-/// any number of concurrent readers — the read side of the serving
+/// index from LSH bucket key to the clusters with a member in that bucket.
+/// A stream export holds the stream's own blocks and hasher, so consecutive
+/// generations share every unchanged cluster's block instead of copying it
+/// — publish costs only the cluster index, and a server's history ring of
+/// old generations is nearly free. Every query method is const, touches
+/// only snapshot-owned state plus thread-local scratch, and is therefore
+/// safe for any number of concurrent readers — the read side of the serving
 /// subsystem's RCU design.
 class ClusterSnapshot {
  public:
@@ -132,11 +134,11 @@ class ClusterSnapshot {
   /// slack are taken from the stream's own options, so Assign reproduces
   /// the stream's absorb decision bit for bit; the generation is the
   /// stream's arrival count. The export copies the stream's sealed block
-  /// pointers (OnlineAlid::cluster_block) and indexes their carried LSH
-  /// keys — no row gather, hashing, tiling or density verification runs
-  /// here. The stream must not be mutated during the export (the ingest
-  /// loop exports between batches); afterwards the snapshot is fully
-  /// decoupled, since sealed blocks never change.
+  /// pointers (OnlineAlid::cluster_block) and hasher and indexes the
+  /// blocks' carried keys — no row gather, hashing, table seeding, tiling or
+  /// density verification runs here. The stream must not be mutated during
+  /// the export (the ingest loop exports between batches); afterwards the
+  /// snapshot is fully decoupled, since sealed blocks never change.
   ///
   /// `previous` only feeds the accounting: a block counts as shared
   /// (build_info) iff `previous` holds the same pointer. `pool` is unused
@@ -147,11 +149,9 @@ class ClusterSnapshot {
       const OnlineAlid& stream, ThreadPool* pool = nullptr,
       std::shared_ptr<const ClusterSnapshot> previous = nullptr);
 
-  int num_clusters() const {
-    return static_cast<int>(cluster_begin_.size()) - 1;
-  }
-  Index num_members() const { return cluster_begin_.back(); }
-  int dim() const { return dim_; }
+  int num_clusters() const { return static_cast<int>(blocks_.size()); }
+  Index num_members() const { return num_members_; }
+  int dim() const { return hasher_->dim(); }
   uint64_t generation() const { return generation_; }
   double absorb_slack() const { return absorb_slack_; }
 
@@ -183,9 +183,7 @@ class ClusterSnapshot {
   ClusterSnapshotInfo ClusterInfo(int c) const;
 
   Scalar density(int c) const { return density_[c]; }
-  Index cluster_size(int c) const {
-    return cluster_begin_[c + 1] - cluster_begin_[c];
-  }
+  Index cluster_size(int c) const { return blocks_[c]->count; }
   /// Stream identity of cluster `c` ((0, 0) when the source carries none) —
   /// what ClusterServer::GenerationDiff matches on.
   uint64_t cluster_uid(int c) const { return src_uid_[c]; }
@@ -201,15 +199,15 @@ class ClusterSnapshot {
     return {blocks_.data(), blocks_.size()};
   }
 
-  /// Per-snapshot substrate observability: the LSH footprint.
-  const LshIndex& lsh() const { return lsh_; }
+  /// The hasher queries are keyed with — a stream export's is the stream's.
+  const std::shared_ptr<const LshHasher>& hasher() const { return hasher_; }
 
  private:
-  ClusterSnapshot(int dim, const ClusterSnapshotOptions& options,
-                  uint64_t generation);
+  ClusterSnapshot(std::shared_ptr<const LshHasher> hasher,
+                  const ClusterSnapshotOptions& options, uint64_t generation);
 
   // Installs one sealed block per cluster (in cluster order), indexes the
-  // blocks' carried member keys, and books the build: a block counts as
+  // blocks' carried keys by cluster, and books the build: a block counts as
   // shared iff `previous` holds the same pointer.
   void Assemble(std::span<const Cluster> clusters,
                 std::vector<std::shared_ptr<const ClusterBlock>> blocks,
@@ -220,18 +218,15 @@ class ClusterSnapshot {
   // id on ties because candidates are visited in ascending id).
   void ScoreCandidate(int c, std::span<const Scalar> point,
                       Scalar* best_margin, QueryOutcome* best) const;
-  // Marks the clusters of the point's LSH collisions in thread-local
-  // scratch and returns the collision list.
-  const std::vector<Index>& CandidateMembers(
-      std::span<const Scalar> point) const;
+  // Marks, in thread-local scratch, the clusters with a member in one of
+  // the point's buckets, and returns the marks.
+  const EpochStamp& MarkCandidates(std::span<const Scalar> point) const;
 
-  int dim_ = 0;
   // One sealed block per cluster (see core/cluster_block.h): all
   // member-indexed payload lives there, shared with the stream and with the
   // other generations that hold the same cluster.
   std::vector<std::shared_ptr<const ClusterBlock>> blocks_;
-  std::vector<Index> cluster_begin_; // cluster -> first global member (C + 1)
-  std::vector<int> cluster_of_;      // global member position -> cluster id
+  Index num_members_ = 0;
   std::vector<Scalar> density_;      // per cluster
   std::vector<Index> seed_;          // per cluster, source ids
   // Stream identity of each cluster ((0, 0) when the source carries none):
@@ -240,9 +235,17 @@ class ClusterSnapshot {
   std::vector<uint64_t> src_version_;
   double absorb_slack_ = 0.05;
   AffinityFunction affinity_fn_;
-  // Per-snapshot dataset-free LSH index over the global member positions,
-  // filled from the blocks' carried keys.
-  LshIndex lsh_;
+  std::shared_ptr<const LshHasher> hasher_;
+  // One table's bucket key -> cluster map: a (key, cluster) entry for every
+  // cluster with a member in that bucket, sorted, and a directory over the
+  // keys' top bits — slot s's entries are [slot_begin[s], slot_begin[s+1]).
+  // Keys are hashes, so a slot holds about one entry.
+  struct KeyIndex {
+    int shift = 63;
+    std::vector<int> slot_begin;
+    std::vector<std::pair<uint64_t, int>> entries;
+  };
+  std::vector<KeyIndex> key_index_;  // per table
   uint64_t generation_ = 0;
   SnapshotBuildInfo build_info_;
 };

@@ -233,9 +233,10 @@ std::vector<BoundaryPair> ShardRouter::BoundaryClusters(
   const std::shared_ptr<const ShardedSnapshot> pinned = snapshot();
   if (pinned == nullptr) return report;
 
-  // Every (table, bucket key) a cluster's members occupy, deduplicated per
-  // cluster. The per-shard LSH indices share projections (same LshParams
-  // seed), so equal keys mean the same bucket of the same table.
+  // Every (table, bucket key) a cluster's members occupy — each block
+  // carries them deduplicated per table. The per-shard hashers share
+  // projections (same LshParams seed), so equal keys mean the same bucket of
+  // the same table.
   struct BucketRef {
     int table;
     uint64_t key;
@@ -248,24 +249,20 @@ std::vector<BoundaryPair> ShardRouter::BoundaryClusters(
       if (shard != o.shard) return shard < o.shard;
       return cluster < o.cluster;
     }
-    bool operator==(const BucketRef&) const = default;
   };
   std::vector<BucketRef> refs;
   for (int s = 0; s < static_cast<int>(pinned->shards.size()); ++s) {
     const auto blocks = pinned->shards[static_cast<size_t>(s)]->blocks();
     for (int c = 0; c < static_cast<int>(blocks.size()); ++c) {
       const ClusterBlock& block = *blocks[static_cast<size_t>(c)];
-      const int kpm = block.keys_per_member;
-      for (Index m = 0; m < block.count; ++m) {
-        for (int t = 0; t < kpm; ++t) {
-          refs.push_back(BucketRef{
-              t, block.member_keys[static_cast<size_t>(m) * kpm + t], s, c});
+      for (int t = 0; t < block.num_tables(); ++t) {
+        for (uint64_t key : block.table_keys(t)) {
+          refs.push_back(BucketRef{t, key, s, c});
         }
       }
     }
   }
   std::sort(refs.begin(), refs.end());
-  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
 
   // Count shared buckets per cross-shard cluster pair. The map key orders
   // the report ascending by (shard_a, cluster_a, shard_b, cluster_b).

@@ -46,13 +46,42 @@ Scalar QuadraticForm(const Dataset& data, const Cluster& cluster,
   return density;
 }
 
+// Per table, the sorted distinct ComputePointKeys of the cluster's rows.
+std::vector<std::vector<uint64_t>> DistinctMemberKeys(const Dataset& data,
+                                                      const Cluster& cluster,
+                                                      const LshHasher& hasher) {
+  std::vector<std::vector<uint64_t>> tables(
+      static_cast<size_t>(hasher.num_tables()));
+  std::vector<uint64_t> keys(tables.size());
+  for (Index m : cluster.members) {
+    hasher.ComputePointKeys(data[m], keys.data());
+    for (size_t t = 0; t < tables.size(); ++t) tables[t].push_back(keys[t]);
+  }
+  for (auto& table : tables) {
+    std::sort(table.begin(), table.end());
+    table.erase(std::unique(table.begin(), table.end()), table.end());
+  }
+  return tables;
+}
+
+std::vector<std::vector<uint64_t>> TableKeys(const ClusterBlock& block) {
+  std::vector<std::vector<uint64_t>> tables;
+  for (int t = 0; t < block.num_tables(); ++t) {
+    const auto keys = block.table_keys(t);
+    tables.emplace_back(keys.begin(), keys.end());
+  }
+  return tables;
+}
+
 TEST(ClusterBlockTest, BuildCarriesTheClusterAndScoresLikeTheScalarLoop) {
   LabeledData data = Workload(300, 3);
   TestPipeline pipeline(data);
   const DetectionResult detected =
       AlidDetector(*pipeline.oracle, *pipeline.lsh).DetectAll();
   ASSERT_GT(detected.clusters.size(), 0u);
-  const LshIndex free_hasher(data.data.dim(), pipeline.lsh->params());
+  const LshHasher& hasher = *pipeline.lsh->hasher();
+  // Seeded apart from the index's, as FromClusters seeds its own.
+  const LshHasher fresh_hasher(data.data.dim(), pipeline.lsh->params());
   Rng rng(11);
   // p = 2 takes the tile path, p = 1.5 (no tile kernel) the row path; both
   // must give the scalar loops' bits.
@@ -62,29 +91,25 @@ TEST(ClusterBlockTest, BuildCarriesTheClusterAndScoresLikeTheScalarLoop) {
     for (const Cluster& cluster : detected.clusters) {
       const int64_t arena_before = SnapshotArenaTracker().current_bytes();
       std::shared_ptr<const ClusterBlock> block =
-          ClusterBlock::Build(data.data, cluster, *pipeline.lsh, kernel);
+          ClusterBlock::Build(data.data, cluster, hasher, kernel,
+                              pipeline.lsh.get());
       ASSERT_EQ(block->count, static_cast<Index>(cluster.members.size()));
       EXPECT_EQ(block->source_ids, cluster.members);
       EXPECT_EQ(block->weights, cluster.weights);
       EXPECT_EQ(block->cluster_soa.empty(), !SimdSupportsNorm(p));
-      const int tables = pipeline.lsh->num_tables();
-      ASSERT_EQ(block->keys_per_member, tables);
-      std::vector<uint64_t> keys(static_cast<size_t>(tables));
       for (Index t = 0; t < block->count; ++t) {
         const auto row = data.data[cluster.members[t]];
         EXPECT_TRUE(std::equal(row.begin(), row.end(),
                                block->row(t).begin()));
-        pipeline.lsh->ComputePointKeys(row, keys.data());
-        EXPECT_TRUE(std::equal(keys.begin(), keys.end(),
-                               block->member_keys.begin() +
-                                   static_cast<size_t>(t) * tables));
       }
-      // A dataset-free hasher hashes the gathered rows instead of reading
-      // the index's stored keys: the same keys either way.
-      EXPECT_EQ(
-          ClusterBlock::Build(data.data, cluster, free_hasher, kernel)
-              ->member_keys,
-          block->member_keys);
+      // Each table's keys are the sorted distinct keys of the member rows,
+      // both when read from the index's stored keys (the stream's path) and
+      // when hashed from the gathered rows (FromClusters').
+      const auto expected_keys = DistinctMemberKeys(data.data, cluster, hasher);
+      EXPECT_EQ(TableKeys(*block), expected_keys);
+      EXPECT_EQ(TableKeys(*ClusterBlock::Build(data.data, cluster,
+                                               fresh_hasher, kernel)),
+                expected_keys);
       EXPECT_EQ(block->verified_density,
                 QuadraticForm(data.data, cluster, kernel));
       // Sealing charged the arena exactly the block's bytes.
@@ -123,7 +148,7 @@ struct ResealCounts {
 // batches and, after every batch, checks each surviving cluster's block
 // against its state before the batch: the pointer is kept iff the version
 // stood still. Also checks that the block describes the live cluster and
-// that a stream export shares the stream's own pointers.
+// that a stream export shares the stream's own block and hasher pointers.
 ResealCounts StreamAndCheckReseals(const LabeledData& data, Index window) {
   OnlineAlidOptions opts;
   opts.affinity = {.k = data.suggested_k, .p = 2.0};
@@ -174,6 +199,9 @@ ResealCounts StreamAndCheckReseals(const LabeledData& data, Index window) {
     SCOPED_TRACE(testing::Message() << "arrivals " << online.size());
 
     const auto snap = ClusterSnapshot::FromStream(online);
+    // The export keys queries with the stream's own hasher: publishing
+    // seeds no projection tables.
+    EXPECT_EQ(snap->hasher(), online.lsh().hasher());
     for (int c = 0; c < static_cast<int>(online.clusters().size()); ++c) {
       const Cluster& cluster = online.clusters()[c];
       const ClusterBlock& block = *online.cluster_block(c);

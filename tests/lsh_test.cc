@@ -44,7 +44,7 @@ TEST(LshIndexTest, OutOfRangeCoordinatesSaturateTheBucketKey) {
   LshIndex lsh(data.data, DefaultParams(data));
   const auto keys = [&lsh](std::span<const Scalar> point) {
     std::vector<uint64_t> out(static_cast<size_t>(lsh.num_tables()));
-    lsh.ComputePointKeys(point, out.data());
+    lsh.hasher()->ComputePointKeys(point, out.data());
     return out;
   };
   for (Index i : {Index{0}, Index{7}, Index{150}}) {
@@ -231,7 +231,7 @@ TEST_P(LshRemoveReinsertFuzz, InterleavedRemovalsMatchFreshIndex) {
       const size_t pick = static_cast<size_t>(rng.UniformInt(
           0, static_cast<int64_t>(removed_list.size()) - 1));
       const Index target = removed_list[pick];
-      fuzzed.ComputePointKeys(data.data[target], keys.data());
+      fuzzed.hasher()->ComputePointKeys(data.data[target], keys.data());
       fuzzed.InsertItemWithKeys(target, keys);
       removed[target] = 0;
       removed_list[pick] = removed_list.back();

@@ -643,6 +643,41 @@ TEST(ServeTest, MalformedQueriesAnswerInvalidInputAndCount) {
   EXPECT_EQ(invalid_count(), 0);
 }
 
+// Brute-force candidate reference: the ids of the stream's clusters with a
+// member whose stored keys equal the point's key in some table, ascending.
+std::vector<int> CollidingClusters(const OnlineAlid& online,
+                                   std::span<const Scalar> point) {
+  const LshIndex& lsh = online.lsh();
+  const size_t tables = static_cast<size_t>(lsh.num_tables());
+  std::vector<uint64_t> probe_keys(tables);
+  std::vector<uint64_t> member_keys(tables);
+  lsh.hasher()->ComputePointKeys(point, probe_keys.data());
+  std::vector<int> colliding;
+  for (int c = 0; c < static_cast<int>(online.clusters().size()); ++c) {
+    bool hit = false;
+    for (Index m : online.clusters()[c].members) {
+      lsh.ItemKeys(m, member_keys.data());
+      for (size_t t = 0; t < tables; ++t) {
+        hit |= member_keys[t] == probe_keys[t];
+      }
+    }
+    if (hit) colliding.push_back(c);
+  }
+  return colliding;
+}
+
+// The candidate clusters a snapshot scores for `point`, ascending: every
+// candidate appears in an untruncated TopKClusters answer.
+std::vector<int> CandidateSet(const ClusterSnapshot& snap,
+                              std::span<const Scalar> point) {
+  std::vector<int> ids;
+  for (const ScoredCluster& s : snap.TopKClusters(point, snap.num_clusters())) {
+    ids.push_back(s.cluster);
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 // Streams `data` while publishing a chained incremental stream export and
 // a from-scratch FromClusters build over the stream's own rows and clusters
 // every batch, deep-comparing the two; returns the total rows the
@@ -730,6 +765,12 @@ int64_t RunIncrementalVsScratch(const LabeledData& data, Index window) {
       EXPECT_EQ(incremental->TopKClusters(probes[q], 4),
                 scratch->TopKClusters(probes[q], 4))
           << "probe " << q;
+      // Both snapshots' candidates are exactly the clusters with a member
+      // sharing a bucket with the probe in some table of the stream's index.
+      const std::vector<int> expected = CollidingClusters(online, probes[q]);
+      EXPECT_EQ(CandidateSet(*incremental, probes[q]), expected)
+          << "probe " << q;
+      EXPECT_EQ(CandidateSet(*scratch, probes[q]), expected) << "probe " << q;
     }
   }
   return rows_reused;
