@@ -273,9 +273,9 @@ void Run(BenchContext& ctx) {
 
   // Tracing-overhead row: the batched single-executor query workload timed
   // with the span recorder off and then on (best of 3 each — min is the
-  // noise-robust estimator on shared runners). Measured before the sweep so
-  // Enable()'s ring re-arm cannot wipe the sweep's own --trace-out spans;
-  // CI pins the ratio below 1.05 via bench_compare's --require-max gate.
+  // noise-robust estimator on shared runners). Resume() keeps the rings, so
+  // a --trace-out sweep loses none of its spans to the toggle; CI pins the
+  // ratio below 1.05 via bench_compare's --require-max gate.
   double trace_base_seconds = 0.0;
   double trace_wall_seconds = 0.0;
   {
@@ -292,7 +292,7 @@ void Run(BenchContext& ctx) {
     for (int i = 0; i < 2; ++i) {
       trace_base_seconds = std::min(trace_base_seconds, query_wall());
     }
-    recorder.Enable();
+    recorder.Resume();
     trace_wall_seconds = query_wall();
     for (int i = 0; i < 2; ++i) {
       trace_wall_seconds = std::min(trace_wall_seconds, query_wall());

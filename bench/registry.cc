@@ -312,7 +312,12 @@ int BenchRegistry::RunMain(int argc, char** argv) {
   }
 
   if (!options.trace_out.empty()) {
-    obs::TraceRecorder::Global().Enable();
+    // Rings that hold the whole sweep: at scale 1 the runtime,micro sweep
+    // records ~1.4M spans, almost all on the main thread, so the default
+    // 16384-event ring would drop most of them. Rings grow on demand, so
+    // the bound costs nothing until used.
+    obs::TraceRecorder::Global().Enable(
+        obs::ObsOptions{.trace_ring_capacity = size_t{1} << 22});
   }
 
   int ran = 0;

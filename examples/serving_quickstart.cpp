@@ -18,8 +18,28 @@
 #include "common/thread_pool.h"
 #include "core/online_alid.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "serve/cluster_server.h"
 #include "serve/cluster_snapshot.h"
+
+// Prints one registry latency histogram as per-bucket counts, each bucket
+// labelled with its upper edge in seconds.
+void PrintLatencyHistogram(const alid::obs::MetricsRegistry& registry,
+                           const char* name) {
+  for (const alid::obs::MetricSample& m : registry.Snapshot()) {
+    if (m.name != name) continue;
+    std::printf("%s histogram (%lld observations): ", name,
+                static_cast<long long>(m.count));
+    for (size_t b = 0; b < m.buckets.size(); ++b) {
+      if (b < m.edges.size()) {
+        std::printf("<=%gs:%lld ", m.edges[b],
+                    static_cast<long long>(m.buckets[b]));
+      } else {
+        std::printf("inf:%lld\n", static_cast<long long>(m.buckets[b]));
+      }
+    }
+  }
+}
 
 int main() {
   using namespace alid;
@@ -174,13 +194,12 @@ int main() {
 
   const ServeStatsView stats = server.stats();
   std::printf("\nserver totals: %lld queries (%lld singles, %lld batch "
-              "calls), %lld assigned, %lld snapshots published, %.0f QPS "
-              "overall\n",
+              "calls), %lld assigned, %lld snapshots published\n",
               static_cast<long long>(stats.queries),
               static_cast<long long>(stats.single_queries),
               static_cast<long long>(stats.batch_calls),
               static_cast<long long>(stats.assigned),
-              static_cast<long long>(stats.snapshots_published), stats.qps);
+              static_cast<long long>(stats.snapshots_published));
   std::printf("incremental publishes re-used %lld member rows across %lld "
               "clusters\n",
               static_cast<long long>(stats.rows_reused),
@@ -192,9 +211,7 @@ int main() {
               static_cast<long long>(stats.bytes_copied),
               stats.generations_retained,
               static_cast<long long>(stats.history_ring_bytes));
-  std::printf("per-query latency histogram (%zu samples, 8 bins to max): ",
-              stats.query_seconds.size());
-  for (int count : stats.LatencyHistogram(8)) std::printf("%d ", count);
-  std::printf("\n");
+  PrintLatencyHistogram(server.metrics(), "query_seconds");
+  PrintLatencyHistogram(server.metrics(), "publish_seconds");
   return 0;
 }

@@ -19,6 +19,26 @@
 #include "core/online_alid.h"
 #include "data/synthetic.h"
 #include "eval/metrics.h"
+#include "obs/metrics.h"
+
+// Prints one registry latency histogram as per-bucket counts, each bucket
+// labelled with its upper edge in seconds.
+void PrintLatencyHistogram(const alid::obs::MetricsRegistry& registry,
+                           const char* name) {
+  for (const alid::obs::MetricSample& m : registry.Snapshot()) {
+    if (m.name != name) continue;
+    std::printf("%s histogram (%lld observations): ", name,
+                static_cast<long long>(m.count));
+    for (size_t b = 0; b < m.buckets.size(); ++b) {
+      if (b < m.edges.size()) {
+        std::printf("<=%gs:%lld ", m.edges[b],
+                    static_cast<long long>(m.buckets[b]));
+      } else {
+        std::printf("inf:%lld\n", static_cast<long long>(m.buckets[b]));
+      }
+    }
+  }
+}
 
 int main() {
   using namespace alid;
@@ -118,10 +138,6 @@ int main() {
               static_cast<long long>(stats.refresh_rounds),
               static_cast<long long>(stats.refresh_speculations),
               static_cast<long long>(stats.refresh_conflicts));
-  const std::vector<int> latency = stats.LatencyHistogram(8);
-  std::printf("ingest-latency histogram (%zu batches, 8 bins to max): ",
-              stats.batch_seconds.size());
-  for (int count : latency) std::printf("%d ", count);
-  std::printf("\n");
+  PrintLatencyHistogram(online.metrics(), "ingest_seconds");
   return 0;
 }

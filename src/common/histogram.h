@@ -7,8 +7,9 @@
 namespace alid {
 
 /// Histogram of `values` over `bins` equal-width buckets spanning
-/// [0, max value] — the load/latency profile shape shared by
-/// PalidStats::TaskHistogram and StreamStats::LatencyHistogram.
+/// [0, max value] — the per-run task-load profile behind
+/// PalidStats::TaskHistogram. Live latencies use registry histograms
+/// (obs/metrics.h) instead.
 std::vector<int> EqualWidthHistogram(std::span<const double> values,
                                      int bins);
 

@@ -5,17 +5,12 @@
 #include <limits>
 
 #include "common/check.h"
-#include "common/histogram.h"
 #include "common/parallel.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/trace.h"
 
 namespace alid {
-
-std::vector<int> StreamStats::LatencyHistogram(int bins) const {
-  return EqualWidthHistogram(batch_seconds, bins);
-}
 
 OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
     : options_(options), data_(dim), affinity_fn_(options.affinity) {
@@ -25,10 +20,9 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   oracle_ = std::make_unique<LazyAffinityOracle>(data_, affinity_fn_);
   lsh_ = std::make_unique<LshIndex>(data_, options_.lsh);
 
-  // Re-home the stream counters onto the per-instance registry (StreamStats
-  // stays as the thin view stats() materializes). Names double as the bench
-  // trajectory's JSON keys, so the registry exporter emits the exact schema
-  // the perf gates already read.
+  // The stream's instruments live on the per-instance registry (stats()
+  // reads them). Names double as the bench trajectory's JSON keys, so the
+  // registry exporter emits the exact schema the perf gates already read.
   obs::MetricsRegistry& registry = metrics_.registry;
   metrics_.arrivals = registry.AddCounter("arrivals");
   metrics_.absorbed = registry.AddCounter("absorbed");
@@ -43,12 +37,8 @@ OnlineAlid::OnlineAlid(int dim, OnlineAlidOptions options)
   metrics_.refresh_conflicts = registry.AddCounter("refresh_conflicts");
   metrics_.alive = registry.AddGauge("alive");
   metrics_.clusters_alive = registry.AddGauge("clusters_alive");
-  // Every batch latency the bounded reservoir samples also lands in a
-  // fixed-bucket histogram, so the ingest profile ships through the JSON /
-  // Prometheus exporters (ingest_seconds_count / _sum and the le buckets)
-  // instead of living only in the in-process percentile window.
-  metrics_.batch_seconds.AttachHistogram(
-      registry.AddHistogram("ingest_seconds", obs::LatencyHistogramEdges()));
+  metrics_.ingest_seconds =
+      registry.AddHistogram("ingest_seconds", obs::LatencyHistogramEdges());
   // The shared pool (when set) must outlive this stream — already the
   // standing usage contract, since every batch runs phases on it.
   if (options_.pool != nullptr) {
@@ -71,7 +61,6 @@ StreamStats OnlineAlid::stats() const {
   s.refresh_conflicts = metrics_.refresh_conflicts->value();
   s.alive = static_cast<Index>(metrics_.alive->value());
   s.clusters_alive = static_cast<int>(metrics_.clusters_alive->value());
-  s.batch_seconds = metrics_.batch_seconds.Samples();
   return s;
 }
 
@@ -174,7 +163,7 @@ std::vector<Index> OnlineAlid::InsertBatch(std::span<const Scalar> points) {
   SealBlocks();
   metrics_.alive->Set(alive());
   metrics_.clusters_alive->Set(static_cast<int64_t>(clusters_.size()));
-  metrics_.batch_seconds.Record(timer.Seconds());
+  metrics_.ingest_seconds->Observe(timer.Seconds());
   return slots;
 }
 

@@ -9,7 +9,6 @@
 
 #include "core/alid.h"
 #include "core/cluster_block.h"
-#include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
 
 namespace alid {
@@ -59,10 +58,10 @@ struct OnlineAlidOptions {
   int refresh_frontier = 16;
 };
 
-/// Counters and per-batch ingest latencies of one OnlineAlid stream — the
-/// streaming counterpart of PalidStats. Since the observability layer
-/// landed this is a thin view materialized from the stream's per-instance
-/// obs::MetricsRegistry (OnlineAlid::metrics()), kept so no caller breaks.
+/// Counters of one OnlineAlid stream — the streaming counterpart of
+/// PalidStats, read from the stream's per-instance obs::MetricsRegistry
+/// (OnlineAlid::metrics()), which also holds the `ingest_seconds`
+/// per-batch latency histogram.
 struct StreamStats {
   int64_t arrivals = 0;  ///< Items ever inserted.
   int64_t absorbed = 0;  ///< Arrivals absorbed into a live cluster on entry.
@@ -88,16 +87,6 @@ struct StreamStats {
   int64_t refresh_conflicts = 0;
   Index alive = 0;         ///< Live items (inside the window).
   int clusters_alive = 0;  ///< Current dominant clusters.
-  /// Wall seconds of the most recent InsertBatch calls, in call order —
-  /// bounded at kMaxLatencySamples (oldest halved away) so a long-lived
-  /// stream's stats footprint stays bounded like everything else.
-  std::vector<double> batch_seconds;
-
-  static constexpr size_t kMaxLatencySamples = 8192;
-
-  /// Histogram of batch_seconds over `bins` equal-width buckets spanning
-  /// [0, max batch time] — the ingest-latency profile of the stream.
-  std::vector<int> LatencyHistogram(int bins = 8) const;
 };
 
 /// OnlineAlid — the "online version to efficiently process streaming data
@@ -285,11 +274,10 @@ class OnlineAlid {
   std::deque<Index> window_fifo_;  // live slots, oldest arrival first
   Index since_refresh_ = 0;
 
-  // The stream counters re-homed onto a per-instance registry (StreamStats
-  // is materialized from these): relaxed-atomic Adds in the serial apply
-  // phases, pool telemetry as callback gauges, batch latencies in the
-  // shared bounded reservoir. Wired in the constructor; pointers are stable
-  // for the stream's lifetime.
+  // The stream's instruments on its per-instance registry (StreamStats is
+  // read from these): relaxed-atomic Adds in the serial apply phases, pool
+  // telemetry as callback gauges, batch latencies in a histogram. Wired in
+  // the constructor; pointers are stable for the stream's lifetime.
   struct StreamInstruments {
     obs::MetricsRegistry registry;
     obs::Counter* arrivals = nullptr;
@@ -305,7 +293,7 @@ class OnlineAlid {
     obs::Counter* refresh_conflicts = nullptr;
     obs::Gauge* alive = nullptr;
     obs::Gauge* clusters_alive = nullptr;
-    obs::LatencyReservoir batch_seconds{StreamStats::kMaxLatencySamples};
+    obs::Histogram* ingest_seconds = nullptr;
   };
   StreamInstruments metrics_;
 };

@@ -94,6 +94,10 @@ void TraceRecorder::Disable() {
   trace_internal::g_trace_enabled.store(false, std::memory_order_relaxed);
 }
 
+void TraceRecorder::Resume() {
+  trace_internal::g_trace_enabled.store(true, std::memory_order_relaxed);
+}
+
 void TraceRecorder::Clear() {
   Impl* state = impl();
   std::lock_guard<std::mutex> lock(state->mu);

@@ -57,6 +57,9 @@ class TraceRecorder {
   /// (buffered events from a previous enablement are dropped).
   void Enable(const ObsOptions& options = {});
   void Disable();
+  /// Turns recording back on after Disable() without re-arming: buffered
+  /// events, drop counts and the ring capacity stay as they were.
+  void Resume();
   bool enabled() const {
     return trace_internal::g_trace_enabled.load(std::memory_order_relaxed);
   }

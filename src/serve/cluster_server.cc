@@ -17,39 +17,59 @@ ClusterServer::ClusterServer(int dim, ClusterServerOptions options)
     : dim_(dim), options_(options) {
   ALID_CHECK(dim_ > 0);
   ALID_CHECK(options_.history_capacity >= 0);
-  ALID_CHECK(options_.history_budget_bytes >= 0);
-  // History-ring gauges ride the same per-instance registry as the serve
-  // counters; each read takes the publication lock shared, exactly like
+  obs::MetricsRegistry& registry = metrics_.registry;
+  metrics_.single_queries = registry.AddCounter("single_queries");
+  metrics_.batch_calls = registry.AddCounter("batch_calls");
+  metrics_.queries = registry.AddCounter("queries");
+  metrics_.assigned = registry.AddCounter("assigned");
+  metrics_.topk_queries = registry.AddCounter("topk_queries");
+  metrics_.info_queries = registry.AddCounter("info_queries");
+  metrics_.query_invalid = registry.AddCounter("query_invalid");
+  metrics_.snapshots_published = registry.AddCounter("snapshots_published");
+  metrics_.rows_reused = registry.AddCounter("rows_reused");
+  metrics_.clusters_reused = registry.AddCounter("clusters_reused");
+  metrics_.bytes_shared = registry.AddCounter("bytes_shared");
+  metrics_.bytes_copied = registry.AddCounter("bytes_copied");
+  metrics_.query_seconds =
+      registry.AddHistogram("query_seconds", obs::LatencyHistogramEdges());
+  metrics_.publish_seconds =
+      registry.AddHistogram("publish_seconds", obs::LatencyHistogramEdges());
+  // History-ring gauges take the publication lock shared, exactly like
   // stats(). The callbacks capture `this` — they die with the registry,
   // which dies with the server.
-  obs::MetricsRegistry* registry = stats_.mutable_registry();
-  registry->AddCallbackGauge("history_ring_bytes", [this] {
-    std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
-    return history_ring_bytes_;
-  });
-  registry->AddCallbackGauge("generations_retained", [this] {
+  registry.AddCallbackGauge("history_ring_bytes",
+                            [this] { return PinHistory().Bytes(); });
+  registry.AddCallbackGauge("generations_retained", [this] {
     std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
     return static_cast<int64_t>(history_.size());
   });
-  registry->AddCallbackGauge("history_evictions", [this] {
+  registry.AddCallbackGauge("history_evictions", [this] {
     std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
     return history_evictions_;
   });
   if (options_.pool != nullptr) {
-    options_.pool->RegisterMetrics(registry, "pool");
+    options_.pool->RegisterMetrics(&registry, "pool");
   }
 }
 
-int64_t ClusterServer::HistoryBytesLocked() const {
+ClusterServer::PinnedHistory ClusterServer::PinHistory() const {
+  PinnedHistory pinned;
+  std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
+  pinned.current = snapshot_ptr_;
+  pinned.ring.reserve(history_.size());
+  for (const Retained& entry : history_) pinned.ring.push_back(entry.snapshot);
+  pinned.evictions = history_evictions_;
+  return pinned;
+}
+
+int64_t ClusterServer::PinnedHistory::Bytes() const {
   std::unordered_set<const ClusterBlock*> counted;
-  if (snapshot_ptr_ != nullptr) {
-    for (const auto& block : snapshot_ptr_->blocks()) {
-      counted.insert(block.get());
-    }
+  if (current != nullptr) {
+    for (const auto& block : current->blocks()) counted.insert(block.get());
   }
   int64_t bytes = 0;
-  for (const Retained& entry : history_) {
-    for (const auto& block : entry.snapshot->blocks()) {
+  for (const auto& snapshot : ring) {
+    for (const auto& block : snapshot->blocks()) {
       if (counted.insert(block.get()).second) {
         bytes += static_cast<int64_t>(block->MemoryBytes());
       }
@@ -61,19 +81,10 @@ int64_t ClusterServer::HistoryBytesLocked() const {
 void ClusterServer::Publish(std::shared_ptr<const ClusterSnapshot> snapshot) {
   if (snapshot != nullptr) ALID_CHECK(snapshot->dim() == dim_);
   const ClusterSnapshot* incoming = snapshot.get();
-  double build_seconds = 0.0;
-  int64_t rows_reused = 0;
-  int64_t clusters_reused = 0;
-  int64_t bytes_shared = 0;
-  int64_t bytes_copied = 0;
-  if (incoming != nullptr) {
-    const SnapshotBuildInfo& info = incoming->build_info();
-    build_seconds = info.build_seconds;
-    rows_reused = info.rows_reused;
-    clusters_reused = info.clusters_reused;
-    bytes_shared = info.bytes_shared;
-    bytes_copied = info.bytes_copied;
-  }
+  // Copied while `snapshot` still holds the incoming one: after the swap a
+  // concurrent Publish may retire and release it.
+  const SnapshotBuildInfo info =
+      incoming != nullptr ? incoming->build_info() : SnapshotBuildInfo{};
   // Snapshots released by this publication (ring evictions, plus the swap
   // operand itself when it goes out of scope) die outside the critical
   // section, so an expensive teardown never stalls readers.
@@ -105,26 +116,19 @@ void ClusterServer::Publish(std::shared_ptr<const ClusterSnapshot> snapshot) {
       history_.pop_front();
       ++history_evictions_;
     }
-    history_ring_bytes_ = HistoryBytesLocked();
-    while (options_.history_budget_bytes > 0 &&
-           history_ring_bytes_ > options_.history_budget_bytes &&
-           !history_.empty()) {
-      evicted.push_back(std::move(history_.front().snapshot));
-      history_.pop_front();
-      ++history_evictions_;
-      history_ring_bytes_ = HistoryBytesLocked();
-    }
   }
   evicted.clear();
+  metrics_.snapshots_published->Add(1);
   // Re-publishing the snapshot that was already current (e.g. a rollback)
   // still counts as a publication, but its build cost and re-use totals were
   // recorded when it was first published — folding them again would claim
-  // work that never happened.
-  stats_.RecordPublish(incoming != nullptr && !republish, build_seconds,
-                       republish ? 0 : rows_reused,
-                       republish ? 0 : clusters_reused,
-                       republish ? 0 : bytes_shared,
-                       republish ? 0 : bytes_copied);
+  // work that never happened. The offline nullptr publish has no build.
+  if (incoming == nullptr || republish) return;
+  metrics_.rows_reused->Add(info.rows_reused);
+  metrics_.clusters_reused->Add(info.clusters_reused);
+  metrics_.bytes_shared->Add(info.bytes_shared);
+  metrics_.bytes_copied->Add(info.bytes_copied);
+  metrics_.publish_seconds->Observe(info.build_seconds);
 }
 
 std::shared_ptr<const ClusterSnapshot> ClusterServer::snapshot() const {
@@ -158,13 +162,13 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
       request.top_k < 0) {
     // No point count to size an answer by (or no mode to answer in).
     response.status = QueryStatus::kInvalidInput;
-    stats_.RecordInvalid();
+    metrics_.query_invalid->Add(1);
     return response;
   }
   const Index count = static_cast<Index>(request.points.size() / dim_);
   if (!AllFinite(request.points)) {
     response.status = QueryStatus::kInvalidInput;
-    stats_.RecordInvalid();
+    metrics_.query_invalid->Add(1);
     if (request.top_k > 0) {
       response.ranked.resize(static_cast<size_t>(count));
     } else {
@@ -209,7 +213,7 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
                        }
                      });
     }
-    stats_.RecordTopK(count);
+    metrics_.topk_queries->Add(count);
     return response;
   }
   response.assignments.resize(static_cast<size_t>(count));
@@ -237,8 +241,13 @@ QueryResponse ClusterServer::Query(const QueryRequest& request) const {
   for (const QueryOutcome& r : response.assignments) {
     assigned += r.cluster >= 0 ? 1 : 0;
   }
-  stats_.RecordAssign(count, assigned, timer.Seconds(),
-                      /*batch=*/count != 1);
+  (count == 1 ? metrics_.single_queries : metrics_.batch_calls)->Add(1);
+  // queries bumps before assigned (and stats() reads them in the opposite
+  // order) so unassigned = queries - assigned stays >= 0 even mid-call.
+  metrics_.queries->Add(count);
+  metrics_.assigned->Add(assigned);
+  metrics_.query_seconds->Observe(timer.Seconds() /
+                                  static_cast<double>(count));
   return response;
 }
 
@@ -308,18 +317,32 @@ GenerationDiffResult ClusterServer::GenerationDiff(uint64_t from,
 }
 
 ClusterSnapshotInfo ClusterServer::ClusterInfo(int cluster) const {
-  stats_.RecordInfo();
+  metrics_.info_queries->Add(1);
   const auto snap = snapshot();
   if (snap == nullptr) return {};
   return snap->ClusterInfo(cluster);
 }
 
 ServeStatsView ClusterServer::stats() const {
-  ServeStatsView view = stats_.View();
-  std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
-  view.history_ring_bytes = history_ring_bytes_;
-  view.generations_retained = static_cast<int>(history_.size());
-  view.history_evictions = history_evictions_;
+  ServeStatsView view;
+  view.single_queries = metrics_.single_queries->value();
+  view.batch_calls = metrics_.batch_calls->value();
+  // assigned loads before queries: Query bumps queries first, so this order
+  // (plus the clamp) keeps unassigned >= 0 even mid-call.
+  view.assigned = metrics_.assigned->value();
+  view.queries = metrics_.queries->value();
+  view.unassigned = std::max<int64_t>(0, view.queries - view.assigned);
+  view.topk_queries = metrics_.topk_queries->value();
+  view.info_queries = metrics_.info_queries->value();
+  view.snapshots_published = metrics_.snapshots_published->value();
+  view.rows_reused = metrics_.rows_reused->value();
+  view.clusters_reused = metrics_.clusters_reused->value();
+  view.bytes_shared = metrics_.bytes_shared->value();
+  view.bytes_copied = metrics_.bytes_copied->value();
+  const PinnedHistory pinned = PinHistory();
+  view.history_ring_bytes = pinned.Bytes();
+  view.generations_retained = static_cast<int>(pinned.ring.size());
+  view.history_evictions = pinned.evictions;
   return view;
 }
 

@@ -8,8 +8,8 @@
 #include <span>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/cluster_snapshot.h"
-#include "serve/serve_stats.h"
 
 namespace alid {
 
@@ -29,13 +29,46 @@ struct ClusterServerOptions {
   /// (the history ring, oldest evicted first); 0 disables time travel.
   /// Retention is cheap because consecutive generations share their
   /// unchanged clusters' arena blocks — the ring pays only for blocks no
-  /// longer referenced by the current snapshot.
+  /// longer referenced by the current snapshot (see
+  /// ServeStatsView::history_ring_bytes).
   int history_capacity = 4;
-  /// Byte budget of that *extra* history footprint (unique arena-block
-  /// bytes retained only for history — see ServeStatsView::
-  /// history_ring_bytes); oldest generations are evicted until the ring
-  /// fits. 0 means no byte bound (the capacity bound alone applies).
-  int64_t history_budget_bytes = 0;
+};
+
+/// One read of a ClusterServer's counters (ClusterServer::stats()), taken
+/// from the server's obs::MetricsRegistry — the serving counterpart of
+/// StreamStats. The query and publish latency profiles live only in the
+/// registry, as the `query_seconds` / `publish_seconds` histograms.
+struct ServeStatsView {
+  int64_t single_queries = 0;  ///< Single-point assignment queries.
+  int64_t batch_calls = 0;     ///< Batched assignment calls (Query, >1 point).
+  int64_t queries = 0;         ///< Items answered (singles + batch items).
+  int64_t assigned = 0;        ///< Queries routed to a cluster.
+  int64_t unassigned = 0;      ///< Queries matching no cluster (noise).
+  int64_t topk_queries = 0;
+  int64_t info_queries = 0;
+  int64_t snapshots_published = 0;
+  /// Always 0. Every candidate cluster is scored exactly; these fields stay
+  /// only for readers that still print them and will be removed.
+  int64_t sketch_prunes = 0;
+  int64_t sketch_exact = 0;
+  /// Member rows / clusters the published snapshots inherited from their
+  /// predecessors via the incremental export (0 under from-scratch builds).
+  int64_t rows_reused = 0;
+  int64_t clusters_reused = 0;
+  /// Arena-block bytes the published snapshots shared with their
+  /// predecessors (refcount bumps) vs. newly materialized — the byte-level
+  /// ledger of the O(changed-bytes) publish property (see
+  /// SnapshotBuildInfo).
+  int64_t bytes_shared = 0;
+  int64_t bytes_copied = 0;
+  /// The history ring at stats() time: unique arena bytes held *only* for
+  /// retained historical generations (blocks shared with the current
+  /// snapshot are free; computed when read, never on publish), how many
+  /// retired generations are addressable, and how many the capacity bound
+  /// evicted.
+  int64_t history_ring_bytes = 0;
+  int generations_retained = 0;
+  int64_t history_evictions = 0;
 };
 
 /// A unified serve request: `points` holds count * dim scalars, row-major.
@@ -120,8 +153,9 @@ struct GenerationDiffResult {
 /// nothing the readers touch: it builds a fresh snapshot off-line and
 /// publishes it in one pointer swap. Because consecutive snapshots share
 /// their unchanged clusters' sealed blocks, the ring costs O(changed
-/// bytes), not O(window), and a publish moves no payload bytes (it still
-/// rebuilds the per-snapshot LSH index over every member).
+/// bytes), not O(window), and a publish moves no payload bytes: the
+/// snapshot build copies block pointers and indexes each cluster's carried
+/// LSH keys, and Publish itself only swaps, retires and evicts.
 ///
 /// The publication cell implements std::atomic<std::shared_ptr> semantics
 /// (P0718: linearizable store, acquire loads) over a reader-writer lock
@@ -144,7 +178,7 @@ class ClusterServer {
   /// Atomically installs a new snapshot (a release in the publication
   /// order: a reader that sees it also sees everything its build wrote).
   /// The retired snapshot enters the history ring (unless history_capacity
-  /// is 0); generations evicted by the capacity/budget bounds are released
+  /// is 0); generations evicted by the capacity bound are released
   /// outside the swap critical section, so an expensive teardown never
   /// stalls readers. Passing nullptr takes the server offline (queries
   /// answer unassigned, generation 0).
@@ -183,15 +217,15 @@ class ClusterServer {
   int dim() const { return dim_; }
   const ClusterServerOptions& options() const { return options_; }
 
-  /// A consistent read of the serving counters (QPS, latency profile,
-  /// publish byte ledger, history-ring gauges, …).
+  /// A read of the serving counters (query counts, publish byte ledger,
+  /// history-ring gauges). Counters only go up.
   ServeStatsView stats() const;
-  void ResetStats() { stats_.Reset(); }
 
   /// The per-instance instrument registry behind stats(): every serve
-  /// counter plus the history-ring and pool gauges, exportable as
-  /// single-line JSON (bench trajectory) or Prometheus text.
-  const obs::MetricsRegistry& metrics() const { return stats_.registry(); }
+  /// counter, the query/publish latency histograms, and the history-ring
+  /// and pool gauges, exportable as single-line JSON (bench trajectory) or
+  /// Prometheus text.
+  const obs::MetricsRegistry& metrics() const { return metrics_.registry; }
 
  private:
   struct Retained {
@@ -199,10 +233,40 @@ class ClusterServer {
     std::shared_ptr<const ClusterSnapshot> snapshot;
   };
 
-  // Unique arena-block bytes referenced by ring entries but NOT by the
-  // current snapshot — the true extra cost of time travel (shared blocks
-  // are charged to the live snapshot). Caller holds snapshot_mu_.
-  int64_t HistoryBytesLocked() const;
+  // References to the current snapshot and every ring entry, copied under
+  // the shared lock so the history bytes are summed outside it.
+  struct PinnedHistory {
+    std::shared_ptr<const ClusterSnapshot> current;  // nullptr when offline
+    std::vector<std::shared_ptr<const ClusterSnapshot>> ring;  // oldest first
+    int64_t evictions = 0;
+    // Unique arena-block bytes referenced by ring entries but NOT by the
+    // current snapshot — the true extra cost of time travel (shared blocks
+    // are charged to the live snapshot).
+    int64_t Bytes() const;
+  };
+  PinnedHistory PinHistory() const;
+
+  // The server's instruments on its per-instance registry, wired in the
+  // constructor; pointers are stable for the server's lifetime.
+  struct ServeInstruments {
+    obs::MetricsRegistry registry;
+    obs::Counter* single_queries = nullptr;
+    obs::Counter* batch_calls = nullptr;
+    obs::Counter* queries = nullptr;
+    obs::Counter* assigned = nullptr;
+    obs::Counter* topk_queries = nullptr;
+    obs::Counter* info_queries = nullptr;
+    obs::Counter* query_invalid = nullptr;  // kInvalidInput answers
+    obs::Counter* snapshots_published = nullptr;
+    obs::Counter* rows_reused = nullptr;
+    obs::Counter* clusters_reused = nullptr;
+    obs::Counter* bytes_shared = nullptr;
+    obs::Counter* bytes_copied = nullptr;
+    // Mean per-query seconds of each assignment call (one observation per
+    // call: call seconds / points) and build seconds of each publish.
+    obs::Histogram* query_seconds = nullptr;
+    obs::Histogram* publish_seconds = nullptr;
+  };
 
   int dim_;
   ClusterServerOptions options_;
@@ -211,9 +275,8 @@ class ClusterServer {
   mutable std::shared_mutex snapshot_mu_;
   std::shared_ptr<const ClusterSnapshot> snapshot_ptr_;
   std::deque<Retained> history_;  // oldest first
-  int64_t history_ring_bytes_ = 0;
   int64_t history_evictions_ = 0;
-  mutable ServeStats stats_;
+  ServeInstruments metrics_;
 };
 
 }  // namespace alid

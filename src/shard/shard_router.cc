@@ -27,10 +27,10 @@ ShardRouter::ShardRouter(int dim, int num_shards, ShardRouterOptions options)
   metrics_.offline_queries = reg.AddCounter("router_offline_queries");
   metrics_.stale_generation = reg.AddCounter("router_stale_generation");
   metrics_.invalid_queries = reg.AddCounter("router_invalid_queries");
-  metrics_.query_seconds.AttachHistogram(
-      reg.AddHistogram("router_query_seconds", obs::LatencyHistogramEdges()));
-  metrics_.publish_seconds.AttachHistogram(
-      reg.AddHistogram("router_publish_seconds", obs::LatencyHistogramEdges()));
+  metrics_.query_seconds =
+      reg.AddHistogram("router_query_seconds", obs::LatencyHistogramEdges());
+  metrics_.publish_seconds =
+      reg.AddHistogram("router_publish_seconds", obs::LatencyHistogramEdges());
   reg.AddCallbackGauge("router_generation", [this]() {
     std::shared_lock<std::shared_mutex> lock(snapshot_mu_);
     return current_ == nullptr ? int64_t{0}
@@ -67,7 +67,7 @@ uint64_t ShardRouter::PublishFromStream(const ShardedStream& stream) {
     current_ = std::move(next);
   }
   metrics_.publishes->Add(1);
-  metrics_.publish_seconds.Record(timer.Seconds());
+  metrics_.publish_seconds->Observe(timer.Seconds());
   return generation();
 }
 
@@ -141,7 +141,7 @@ ShardedQueryResponse ShardRouter::Query(const QueryRequest& request) const {
   response.generation = pinned->generation;
   if (count == 0) {
     metrics_.queries->Add(1);
-    metrics_.query_seconds.Record(timer.Seconds());
+    metrics_.query_seconds->Observe(timer.Seconds());
     return response;
   }
 
@@ -222,7 +222,7 @@ ShardedQueryResponse ShardRouter::Query(const QueryRequest& request) const {
   metrics_.queries->Add(1);
   metrics_.points->Add(count);
   metrics_.fanout->Add(static_cast<int64_t>(count) * num_shards);
-  metrics_.query_seconds.Record(timer.Seconds());
+  metrics_.query_seconds->Observe(timer.Seconds());
   return response;
 }
 

@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
 #include "serve/cluster_server.h"
 #include "serve/cluster_snapshot.h"
@@ -176,10 +175,10 @@ class ShardRouter {
     obs::Counter* offline_queries = nullptr;
     obs::Counter* stale_generation = nullptr;
     obs::Counter* invalid_queries = nullptr;  // kInvalidInput answers
-    obs::LatencyReservoir query_seconds{8192};
-    obs::LatencyReservoir publish_seconds{8192};
+    obs::Histogram* query_seconds = nullptr;
+    obs::Histogram* publish_seconds = nullptr;
   };
-  mutable RouterInstruments metrics_;
+  RouterInstruments metrics_;
 };
 
 }  // namespace alid

@@ -25,8 +25,8 @@ ShardedStream::ShardedStream(int dim, ShardedStreamOptions options)
   metrics_.arrivals = reg.AddCounter("arrivals");
   metrics_.hot_shard_arrivals = reg.AddGauge("hot_shard_arrivals");
   metrics_.cold_shard_arrivals = reg.AddGauge("cold_shard_arrivals");
-  metrics_.ingest_seconds.AttachHistogram(
-      reg.AddHistogram("ingest_seconds", obs::LatencyHistogramEdges()));
+  metrics_.ingest_seconds =
+      reg.AddHistogram("ingest_seconds", obs::LatencyHistogramEdges());
   for (int s = 0; s < options_.num_shards; ++s) {
     const std::string label = "shard" + std::to_string(s);
     // Arrivals read an atomic counter, so the callback is safe from any
@@ -54,7 +54,7 @@ uint64_t ShardedStream::PartitionKey(std::span<const Scalar> point) {
 }
 
 int ShardedStream::ShardOf(uint64_t partition_key) const {
-  return static_cast<int>(SplitMix64(partition_key ^ options_.partition_salt) %
+  return static_cast<int>(SplitMix64(partition_key) %
                           static_cast<uint64_t>(shards_.size()));
 }
 
@@ -147,7 +147,7 @@ std::vector<ShardSlot> ShardedStream::InsertPartitioned(
   metrics_.ingest_batches->Add(1);
   metrics_.arrivals->Add(count);
   UpdateShardGauges();
-  metrics_.ingest_seconds.Record(timer.Seconds());
+  metrics_.ingest_seconds->Observe(timer.Seconds());
   return result;
 }
 
@@ -208,7 +208,6 @@ StreamStats ShardedStream::stats() const {
     total.alive += s.alive;
     total.clusters_alive += s.clusters_alive;
   }
-  total.batch_seconds = metrics_.ingest_seconds.Samples();
   return total;
 }
 

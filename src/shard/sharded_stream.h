@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/online_alid.h"
-#include "obs/latency_reservoir.h"
 #include "obs/metrics.h"
 
 namespace alid {
@@ -21,14 +20,11 @@ struct ShardedStreamOptions {
   OnlineAlidOptions base;
   /// Number of independent OnlineAlid shards, fixed at construction. The
   /// partition of the stream — and therefore every shard's state — is a
-  /// pure function of (num_shards, partition_salt, stream), so the sharded
+  /// pure function of (num_shards, stream), so the sharded
   /// output is part of the determinism contract exactly like an executor
   /// count is not: changing S changes the result, changing executors never
   /// does. num_shards == 1 is bit-identical to a plain OnlineAlid.
   int num_shards = 1;
-  /// Mixed into the partition hash; lets deployments re-key the partition
-  /// without touching the per-point content hash.
-  uint64_t partition_salt = 0;
 };
 
 /// Where one arrival landed: the shard and the slot inside that shard's
@@ -69,7 +65,7 @@ class ShardedStream {
   /// the same bytes always land on the same shard.
   static uint64_t PartitionKey(std::span<const Scalar> point);
 
-  /// Shard owning a partition key: SplitMix64(key ^ salt) mod num_shards.
+  /// Shard owning a partition key: SplitMix64(key) mod num_shards.
   int ShardOf(uint64_t partition_key) const;
 
   /// Batch ingest: `points` holds count * dim scalars, row-major, in
@@ -98,8 +94,7 @@ class ShardedStream {
   Index size() const;
   Index alive() const;
 
-  /// Counter sums across every shard, in the StreamStats shape (the
-  /// batch_seconds samples are the *sharded* per-InsertBatch latencies).
+  /// Counter sums across every shard, in the StreamStats shape.
   StreamStats stats() const;
 
   /// The sharded tier's own instruments: ingest counters, the per-shard
@@ -125,7 +120,7 @@ class ShardedStream {
     obs::Gauge* cold_shard_arrivals = nullptr; // min per-shard arrivals
     std::vector<obs::Gauge*> shard_alive;
     std::vector<obs::Gauge*> shard_clusters_alive;
-    obs::LatencyReservoir ingest_seconds{StreamStats::kMaxLatencySamples};
+    obs::Histogram* ingest_seconds = nullptr;
   };
   ShardInstruments metrics_;
 };

@@ -1,6 +1,6 @@
 // Tests of the generation-addressed serve API: bounded time travel through
 // the history ring (as-of queries bit-identical to the pinned historical
-// snapshot), capacity/budget eviction under a hot publisher with concurrent
+// snapshot), capacity eviction under a hot publisher with concurrent
 // readers (TSan-visible), arena-block sharing and its MemoryTracker
 // accounting (returns to baseline after teardown — the ASan leg), the
 // GenerationDiff report, and the constructor contract death test.
@@ -168,7 +168,7 @@ TEST(ServeHistoryTest, AsOfQueryBitIdenticalToPinnedHistoricalSnapshot) {
   EXPECT_EQ(gone.assignments.front().cluster, -1);
 }
 
-TEST(ServeHistoryTest, CapacityAndBudgetBoundTheRing) {
+TEST(ServeHistoryTest, CapacityBoundsTheRing) {
   LabeledData data = Workload(480, 41);
   OnlineAlid online(data.data.dim(), StreamOptions(data));
   const auto snaps = SnapshotChain(data, online, 80);
@@ -192,18 +192,11 @@ TEST(ServeHistoryTest, CapacityAndBudgetBoundTheRing) {
             snaps[snaps.size() - 2]);
   EXPECT_EQ(two.SnapshotAt(snaps.front()->generation()), nullptr);
 
-  // A 1-byte budget evicts every generation whose blocks are not fully
-  // shared with the current snapshot; the gauge respects the bound.
-  ClusterServer tight(dim,
-                      {.history_capacity = 8, .history_budget_bytes = 1});
-  for (const auto& snap : snaps) tight.Publish(snap);
-  const ServeStatsView tight_stats = tight.stats();
-  EXPECT_LE(tight_stats.history_ring_bytes, 1);
-  EXPECT_GT(tight_stats.history_evictions, 0);
   // Republishing the current snapshot is a no-op for the ring.
-  const ServeStatsView before = tight.stats();
-  tight.Publish(tight.snapshot());
-  EXPECT_EQ(tight.stats().generations_retained, before.generations_retained);
+  const ServeStatsView before = two.stats();
+  two.Publish(two.snapshot());
+  EXPECT_EQ(two.stats().generations_retained, before.generations_retained);
+  EXPECT_EQ(two.stats().history_evictions, before.history_evictions);
 }
 
 TEST(ServeHistoryTest, RingEvictionUnderHotPublisherAndConcurrentReaders) {
@@ -254,6 +247,19 @@ TEST(ServeHistoryTest, RingEvictionUnderHotPublisherAndConcurrentReaders) {
       }
     });
   }
+  // The history gauges are computed when read, from references pinned
+  // under the shared lock: reading them mid-storm must stay within the
+  // capacity bound and never race the swap.
+  std::atomic<bool> ring_over_capacity{false};
+  readers.emplace_back([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const ServeStatsView stats = server.stats();
+      if (stats.generations_retained > 2 || stats.history_ring_bytes < 0) {
+        ring_over_capacity.store(true);
+      }
+      server.metrics().ToJsonFields();
+    }
+  });
   std::thread publisher([&] {
     for (int round = 0; round < 12; ++round) {
       for (const auto& snap : snaps) {
@@ -267,6 +273,7 @@ TEST(ServeHistoryTest, RingEvictionUnderHotPublisherAndConcurrentReaders) {
   for (auto& reader : readers) reader.join();
   EXPECT_FALSE(corrupt.load());
   EXPECT_FALSE(unknown_generation.load());
+  EXPECT_FALSE(ring_over_capacity.load());
   EXPECT_GT(server.stats().history_evictions, 0);
 }
 
@@ -325,8 +332,30 @@ TEST(ServeHistoryTest, ArenaAccountingSharesBlocksAndReturnsToBaseline) {
     for (const auto& snap : snaps) server.Publish(snap);
     EXPECT_EQ(SnapshotArenaTracker().current_bytes() - arena_baseline,
               unique_bytes);
-    EXPECT_GT(server.stats().history_ring_bytes, 0);
-    EXPECT_LE(server.stats().history_ring_bytes, unique_bytes);
+    // The ring's extra footprint is exactly the unique bytes of blocks the
+    // retained generations hold and the current snapshot does not.
+    std::unordered_set<const ClusterBlock*> current_blocks;
+    for (const auto& block : server.snapshot()->blocks()) {
+      current_blocks.insert(block.get());
+    }
+    std::unordered_set<const ClusterBlock*> history_blocks;
+    int64_t history_bytes = 0;
+    for (const auto& snap : snaps) {
+      if (snap == server.snapshot() ||
+          server.SnapshotAt(snap->generation()) == nullptr) {
+        continue;
+      }
+      for (const auto& block : snap->blocks()) {
+        if (!current_blocks.contains(block.get()) &&
+            history_blocks.insert(block.get()).second) {
+          history_bytes += static_cast<int64_t>(block->MemoryBytes());
+        }
+      }
+    }
+    const ServeStatsView stats = server.stats();
+    EXPECT_EQ(stats.generations_retained, 4);
+    EXPECT_GT(stats.history_ring_bytes, 0);
+    EXPECT_EQ(stats.history_ring_bytes, history_bytes);
   }
   // Everything torn down (stream, snapshots, server ring): both resource
   // spaces return to their pre-test baselines — no leaked charges, no

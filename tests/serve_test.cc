@@ -8,6 +8,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -511,6 +512,15 @@ TEST(ServeTest, OfflineAndEmptySnapshotEdges) {
             QueryStatus::kGenerationUnavailable);
 }
 
+// Observations in one of the server's registry latency histograms.
+int64_t HistogramCount(const ClusterServer& server, const std::string& name) {
+  for (const obs::MetricSample& sample : server.metrics().Snapshot()) {
+    if (sample.name == name) return sample.count;
+  }
+  ADD_FAILURE() << "no histogram named " << name;
+  return -1;
+}
+
 TEST(ServeTest, StatsCountQueriesAndLatencies) {
   LabeledData data = Workload(260, 13);
   const std::vector<Index> order = ShuffledOrder(data);
@@ -535,18 +545,17 @@ TEST(ServeTest, StatsCountQueriesAndLatencies) {
   // A from-scratch publish materializes every block and shares none.
   EXPECT_GT(stats.bytes_copied, 0);
   EXPECT_EQ(stats.bytes_shared, 0);
-  EXPECT_GT(stats.elapsed_seconds, 0.0);
-  EXPECT_GT(stats.qps, 0.0);
-  // One latency sample per call: 20 singles + 1 batch.
-  EXPECT_EQ(stats.query_seconds.size(), 21u);
-  int total = 0;
-  for (int bin : stats.LatencyHistogram(4)) total += bin;
-  EXPECT_EQ(total, 21);
+  // One latency observation per assignment call: 20 singles + 1 batch (the
+  // ranked query and the info read time nothing).
+  EXPECT_EQ(HistogramCount(server, "query_seconds"), 21);
+  EXPECT_EQ(HistogramCount(server, "publish_seconds"), 1);
 
-  server.ResetStats();
-  const ServeStatsView reset = server.stats();
-  EXPECT_EQ(reset.queries, 0);
-  EXPECT_TRUE(reset.query_seconds.empty());
+  // Counters only go up: a later call adds to the same totals.
+  server.Query({.points = data.data[0]});
+  const ServeStatsView later = server.stats();
+  EXPECT_EQ(later.queries, stats.queries + 1);
+  EXPECT_EQ(later.single_queries, stats.single_queries + 1);
+  EXPECT_EQ(HistogramCount(server, "query_seconds"), 22);
 }
 
 TEST(ServeTest, NonFiniteQueryAnswersInvalidInput) {
@@ -636,11 +645,12 @@ TEST(ServeTest, MalformedQueriesAnswerInvalidInputAndCount) {
   EXPECT_EQ(invalid_count(), 4);
   EXPECT_EQ(server.stats().queries, 0);
 
-  // Valid requests do not count; ResetStats zeroes the counter.
+  // Valid requests do not count; each further invalid one adds one.
   ASSERT_TRUE(server.Query({.points = two}).ok());
   EXPECT_EQ(invalid_count(), 4);
-  server.ResetStats();
-  EXPECT_EQ(invalid_count(), 0);
+  EXPECT_EQ(server.Query({.points = ragged}).status,
+            QueryStatus::kInvalidInput);
+  EXPECT_EQ(invalid_count(), 5);
 }
 
 // Brute-force candidate reference: the ids of the stream's clusters with a
@@ -826,7 +836,7 @@ TEST(ServeTest, ServerSurfacesPublishTelemetry) {
   server.Publish(ClusterSnapshot::FromStream(*online, nullptr, first));
   const ServeStatsView after_publish = server.stats();
   EXPECT_EQ(after_publish.snapshots_published, 2);
-  EXPECT_EQ(after_publish.publish_seconds.size(), 2u);
+  EXPECT_EQ(HistogramCount(server, "publish_seconds"), 2);
   EXPECT_GT(after_publish.rows_reused, 0);
   EXPECT_GT(after_publish.clusters_reused, 0);
   // The incremental second publish shared its unchanged clusters' arena
@@ -835,12 +845,15 @@ TEST(ServeTest, ServerSurfacesPublishTelemetry) {
   EXPECT_GT(after_publish.bytes_copied, 0);
   EXPECT_EQ(after_publish.generations_retained, 1);
 
-  server.ResetStats();
-  const ServeStatsView reset = server.stats();
-  EXPECT_EQ(reset.snapshots_published, 0);
-  EXPECT_EQ(reset.rows_reused, 0);
-  EXPECT_EQ(reset.bytes_shared, 0);
-  EXPECT_TRUE(reset.publish_seconds.empty());
+  // Republishing the current snapshot counts as a publication but adds no
+  // build time and no re-use or byte totals a second time.
+  server.Publish(server.snapshot());
+  const ServeStatsView republished = server.stats();
+  EXPECT_EQ(republished.snapshots_published, 3);
+  EXPECT_EQ(republished.rows_reused, after_publish.rows_reused);
+  EXPECT_EQ(republished.bytes_shared, after_publish.bytes_shared);
+  EXPECT_EQ(republished.bytes_copied, after_publish.bytes_copied);
+  EXPECT_EQ(HistogramCount(server, "publish_seconds"), 2);
 }
 
 }  // namespace

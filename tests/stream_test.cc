@@ -403,11 +403,12 @@ TEST(StreamTest, StatsCountersAddUp) {
   EXPECT_EQ(s.absorbed + s.pooled, s.arrivals);
   EXPECT_EQ(s.alive, online->alive());
   EXPECT_EQ(s.clusters_alive, static_cast<int>(online->clusters().size()));
-  EXPECT_EQ(s.batch_seconds.size(), 6u);  // 300 arrivals / batches of 50
-  const std::vector<int> histogram = online->stats().LatencyHistogram(4);
-  int total = 0;
-  for (int bin : histogram) total += bin;
-  EXPECT_EQ(total, 6);
+  // One ingest-latency observation per batch: 300 arrivals / batches of 50.
+  int64_t batches = -1;
+  for (const obs::MetricSample& sample : online->metrics().Snapshot()) {
+    if (sample.name == "ingest_seconds") batches = sample.count;
+  }
+  EXPECT_EQ(batches, 6);
 }
 
 TEST(StreamTest, ParallelRefreshSpeculatesAndStaysDeterministic) {
